@@ -10,22 +10,21 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import (
+    CHARACTER_BY_CODE,
+    CODE_NON_FINITE,
+    CODE_ZERO_VECTOR,
     DEFAULT_TOLERANCES,
-    CausalCharacter,
     CirculantMetric,
     GeometryError,
+    InvariantViolation,
     ToleranceConfig,
     ZeroVectorError,
-    causal_character,
     clamp_cos,
-    cos_phi,
-    f_inner,
+    classify_many,
     fmt_float,
 )
 from .frames import gram_matrix, orthonormal_q_basis
@@ -39,19 +38,6 @@ from .quadrics import (
 )
 from .conics import ConicSpec, classify_conic, conic_coefficients, discriminant
 from .oracle import run_suite
-
-
-@dataclass(frozen=True)
-class BatchRow:
-    """One classified input row; index equals the 0-based input position."""
-
-    index: int
-    x: float
-    y: float
-    z: float
-    cos_phi: float
-    phi_rad: float
-    character: str
 
 
 def _parse_metric(text: str) -> CirculantMetric:
@@ -89,67 +75,75 @@ def _vector_line(label: str, v: np.ndarray) -> str:
     return f"{label} = {fmt_float(v[0])} {fmt_float(v[1])} {fmt_float(v[2])}"
 
 
+# Report names of classify_many's character codes.
+_CHARACTER_NAMES = [c.value for c in CHARACTER_BY_CODE] + ["error:zero-vector", "error:non-finite"]
+# Rows a batch report converts to Python floats at a time, so peak memory
+# does not grow by the Python objects of every row at once.
+_REPORT_BLOCK = 4096
+
+
 def _cmd_classify(args) -> int:
     metric = _parse_metric(args.metric)
     vector = _parse_vector(args.vector)
     tol = DEFAULT_TOLERANCES if args.eps is None else ToleranceConfig(eps_null=args.eps)
-    character = causal_character(metric, vector, tol)
-    c = cos_phi(metric, vector)
+    cos, code, f_uu = classify_many(metric, vector[None, :], tol)
+    if code[0] == CODE_NON_FINITE:
+        raise GeometryError("vector components must be finite")
+    if code[0] == CODE_ZERO_VECTOR:
+        raise ZeroVectorError("causal character is undefined for the zero vector")
+    c = float(cos[0])
     phi = math.acos(clamp_cos(c, tol))
     print(
-        f"character={character.value} cos_phi={fmt_float(c)} "
-        f"phi_rad={fmt_float(phi)} f_uu={fmt_float(f_inner(metric, vector, vector))}"
+        f"character={_CHARACTER_NAMES[code[0]]} cos_phi={fmt_float(c)} "
+        f"phi_rad={fmt_float(phi)} f_uu={fmt_float(f_uu[0])}"
     )
     return 0
 
 
-def _read_batch_rows(path: str) -> list[tuple[float, float, float]]:
+def _read_batch_rows(path: str) -> np.ndarray:
+    """The CSV's rows as an (N, 3) float array; parse errors name their line."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        fh = open(path, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise GeometryError(f"cannot read {path!r}: {exc}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0].strip() != "x,y,z":
-        raise GeometryError("line 1: expected CSV header 'x,y,z'")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.strip().split(",")
-        if len(parts) != 3:
-            raise GeometryError(f"line {lineno}: expected three comma-separated reals, got {line!r}")
-        try:
-            rows.append(tuple(float(p) for p in parts))
-        except ValueError:
-            raise GeometryError(f"line {lineno}: could not parse {line!r}") from None
-    return rows
+    with fh:
+        if fh.readline().strip() != "x,y,z":
+            raise GeometryError("line 1: expected CSV header 'x,y,z'")
+        values = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.removesuffix("\n")
+            parts = line.strip().split(",")
+            if len(parts) != 3:
+                raise GeometryError(f"line {lineno}: expected three comma-separated reals, got {line!r}")
+            try:
+                values.extend(map(float, parts))
+            except ValueError:
+                raise GeometryError(f"line {lineno}: could not parse {line!r}") from None
+    return np.array(values, dtype=float).reshape(-1, 3)
 
 
 def _cmd_classify_batch(args) -> int:
     metric = _parse_metric(args.metric)
     tol = DEFAULT_TOLERANCES
-    rows = []
-    for index, (x, y, z) in enumerate(_read_batch_rows(args.input)):
-        vector = np.array([x, y, z])
-        try:
-            character = causal_character(metric, vector, tol).value
-            c = cos_phi(metric, vector)
-            phi = math.acos(clamp_cos(c, tol))
-        except ZeroVectorError:
-            character, c, phi = "error:zero-vector", math.nan, math.nan
-        rows.append(BatchRow(index, x, y, z, c, phi, character))
+    rows = _read_batch_rows(args.input)
+    cos, code, _ = classify_many(metric, rows, tol)
+    # classify_many has range-checked every cosine; nan rows stay nan.
+    clamped = np.clip(cos, -0.5, 1.0)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"metric a={fmt_float(metric.a)} b={fmt_float(metric.b)}\n")
         fh.write(
             f"tolerance eps_null={fmt_float(tol.eps_null)} eps_angle={fmt_float(tol.eps_angle)}\n"
         )
         fh.write(f"rows n={len(rows)}\n")
-        for r in rows:
-            fh.write(
-                f"row index={r.index} x={fmt_float(r.x)} y={fmt_float(r.y)} z={fmt_float(r.z)} "
-                f"cos_phi={fmt_float(r.cos_phi)} phi_rad={fmt_float(r.phi_rad)} "
-                f"character={r.character}\n"
-            )
+        for start in range(0, len(rows), _REPORT_BLOCK):
+            block = slice(start, start + _REPORT_BLOCK)
+            lines = zip(rows[block].tolist(), cos[block].tolist(), clamped[block].tolist(), code[block].tolist())
+            for index, ((x, y, z), c, clamp, k) in enumerate(lines, start):
+                fh.write(
+                    f"row index={index} x={fmt_float(x)} y={fmt_float(y)} z={fmt_float(z)} "
+                    f"cos_phi={fmt_float(c)} phi_rad={fmt_float(math.acos(clamp))} "
+                    f"character={_CHARACTER_NAMES[k]}\n"
+                )
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
@@ -276,6 +270,9 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

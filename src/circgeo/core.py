@@ -38,6 +38,10 @@ __all__ = [
     "phi_angle",
     "f_inner",
     "causal_character",
+    "CHARACTER_BY_CODE",
+    "CODE_ZERO_VECTOR",
+    "CODE_NON_FINITE",
+    "classify_many",
 ]
 
 
@@ -136,10 +140,28 @@ def fmt_float(x: float) -> str:
     return repr(v)
 
 
+def _shift(v: np.ndarray) -> np.ndarray:
+    return np.array([v[1], v[2], v[0]])
+
+
+def _g(m: CirculantMetric, u: np.ndarray, v: np.ndarray) -> float:
+    return (m.a - m.b) * float(u @ v) + m.b * float(u.sum()) * float(v.sum())
+
+
+def _cos_phi(m: CirculantMetric, v: np.ndarray) -> float:
+    denom = _g(m, v, v)
+    if denom == 0.0:
+        raise ZeroVectorError("cos_phi is undefined for the zero vector")
+    return _g(m, v, _shift(v)) / denom
+
+
+def _f(m: CirculantMetric, u: np.ndarray, v: np.ndarray) -> float:
+    return _g(m, u, _shift(v)) + _g(m, _shift(u), v)
+
+
 def q_apply(u) -> np.ndarray:
     """Cyclic shift (x, y, z) -> (y, z, x). Applying it three times is the identity."""
-    v = as_vector(u)
-    return np.array([v[1], v[2], v[0]])
+    return _shift(as_vector(u))
 
 
 def g_inner(m: CirculantMetric, u, v) -> float:
@@ -148,15 +170,13 @@ def g_inner(m: CirculantMetric, u, v) -> float:
     Uses the rank-one split circ(a, b, b) = (a - b) I + b J, J the all-ones
     matrix, so the metric is never materialized as a dense matrix.
     """
-    uu = as_vector(u)
-    vv = as_vector(v)
-    dot = float(uu @ vv)
-    return (m.a - m.b) * dot + m.b * float(uu.sum()) * float(vv.sum())
+    return _g(m, as_vector(u), as_vector(v))
 
 
 def g_norm(m: CirculantMetric, u) -> float:
     """Norm sqrt(g(u, u)); zero only for the zero vector."""
-    return math.sqrt(max(0.0, g_inner(m, u, u)))
+    v = as_vector(u)
+    return math.sqrt(max(0.0, _g(m, v, v)))
 
 
 def cos_phi(m: CirculantMetric, u) -> float:
@@ -164,11 +184,7 @@ def cos_phi(m: CirculantMetric, u) -> float:
 
     The value lies in [-1/2, 1] up to rounding for every valid metric.
     """
-    v = as_vector(u)
-    denom = g_inner(m, v, v)
-    if denom == 0.0:
-        raise ZeroVectorError("cos_phi is undefined for the zero vector")
-    return g_inner(m, v, q_apply(v)) / denom
+    return _cos_phi(m, as_vector(u))
 
 
 def clamp_cos(c: float, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
@@ -176,8 +192,9 @@ def clamp_cos(c: float, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
 
     Values outside the interval by more than eps_angle are not rounding noise
     and indicate a broken caller, so they raise instead of clamping silently.
+    NaN lies in no interval and raises too.
     """
-    if c > 1.0 + tol.eps_angle or c < -0.5 - tol.eps_angle:
+    if not -0.5 - tol.eps_angle <= c <= 1.0 + tol.eps_angle:
         raise InvariantViolation(
             f"shift-angle cosine {c!r} outside [-1/2, 1] by more than eps_angle"
         )
@@ -186,7 +203,7 @@ def clamp_cos(c: float, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
 
 def phi_angle(m: CirculantMetric, u, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Angle between u and its shift, in radians, in [0, 2*pi/3]."""
-    return math.acos(clamp_cos(cos_phi(m, u), tol))
+    return math.acos(clamp_cos(_cos_phi(m, as_vector(u)), tol))
 
 
 def f_inner(m: CirculantMetric, u, v) -> float:
@@ -195,9 +212,7 @@ def f_inner(m: CirculantMetric, u, v) -> float:
     Symmetric, bilinear, and shift-invariant: f(qu, qv) = f(u, v). On the
     diagonal f(u, u) = 2 g(u, qu) = 2 g(u, u) cos_phi(u).
     """
-    uu = as_vector(u)
-    vv = as_vector(v)
-    return g_inner(m, uu, q_apply(vv)) + g_inner(m, q_apply(uu), vv)
+    return _f(m, as_vector(u), as_vector(v))
 
 
 def causal_character(
@@ -210,10 +225,73 @@ def causal_character(
     Spacelike above the band, timelike below. The shift preserves the result.
     """
     v = as_vector(u)
-    norm_sq = g_inner(m, v, v)
+    norm_sq = _g(m, v, v)
     if norm_sq == 0.0:
         raise ZeroVectorError("causal character is undefined for the zero vector")
-    f_uu = f_inner(m, v, v)
+    f_uu = _f(m, v, v)
     if abs(f_uu) <= tol.eps_null * 2.0 * norm_sq:
         return CausalCharacter.NULL
     return CausalCharacter.SPACELIKE if f_uu > 0.0 else CausalCharacter.TIMELIKE
+
+
+# Character codes of classify_many: 0, 1, 2 index CHARACTER_BY_CODE, and two
+# more codes mark the rows that have no character.
+CHARACTER_BY_CODE = (CausalCharacter.SPACELIKE, CausalCharacter.NULL, CausalCharacter.TIMELIKE)
+CODE_ZERO_VECTOR = 3
+CODE_NON_FINITE = 4
+
+
+def classify_many(
+    m: CirculantMetric, rows, tol: ToleranceConfig = DEFAULT_TOLERANCES
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classify every row of an (N, 3) array: (cos_phi, code, f_uu), each of length N.
+
+    code indexes CHARACTER_BY_CODE, or is CODE_ZERO_VECTOR or CODE_NON_FINITE
+    for rows that have no character; cos_phi and f_uu are nan on those rows.
+    The decision is causal_character's: null when |f(u, u)| <= eps_null *
+    2 g(u, u), else the sign of f(u, u). Each row is first divided by the
+    power of two of its largest component (Blue's overflow-safe scaling), and
+    the metric by that of a. Both divisions are exact, so products neither
+    overflow nor underflow, and cos_phi and the code depend on neither scale.
+    f_uu is scaled back and reads inf or 0 where the true value leaves the
+    float range. Raises InvariantViolation if a cosine lies outside [-1/2, 1]
+    by more than eps_angle, as clamp_cos does.
+    """
+    x = np.asarray(rows, dtype=float)
+    if x.ndim != 2 or x.shape[1] != 3:
+        raise GeometryError(f"expected an (N, 3) array of vectors, got shape {x.shape}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        x = np.where(finite[:, None], x, 0.0)
+    _, exponent = np.frexp(np.abs(x).max(axis=1, initial=0.0))
+    u = np.ldexp(x, -exponent[:, None])
+    qu = u[:, [1, 2, 0]]
+    # The sums in the order (x + y) + z and np.vecdot, which calls the same
+    # dot as the scalar path's u @ v, keep every result bit for bit equal to
+    # the scalar functions' wherever those neither overflow nor underflow.
+    s_u = (u[:, 0] + u[:, 1]) + u[:, 2]
+    s_qu = (qu[:, 0] + qu[:, 1]) + qu[:, 2]
+    # a > |b| for every valid metric, so a sets the metric's scale.
+    _, metric_exponent = math.frexp(m.a)
+    b = math.ldexp(m.b, -metric_exponent)
+    a_minus_b = math.ldexp(m.a, -metric_exponent) - b
+    g_uu = a_minus_b * np.vecdot(u, u) + b * s_u * s_u
+    g_uqu = a_minus_b * np.vecdot(u, qu) + b * s_u * s_qu
+    g_quu = a_minus_b * np.vecdot(qu, u) + b * s_qu * s_u
+    f_uu = g_uqu + g_quu
+    valid = finite & (g_uu != 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = np.where(valid, g_uqu / g_uu, np.nan)
+    in_range = (cos >= -0.5 - tol.eps_angle) & (cos <= 1.0 + tol.eps_angle)
+    if not np.all(in_range | ~valid):
+        bad = float(cos[np.flatnonzero(valid & ~in_range)[0]])
+        raise InvariantViolation(
+            f"shift-angle cosine {bad!r} outside [-1/2, 1] by more than eps_angle"
+        )
+    code = np.where(f_uu > 0.0, 0, 2).astype(np.int8)
+    code[np.abs(f_uu) <= tol.eps_null * 2.0 * g_uu] = 1
+    code[~valid] = CODE_ZERO_VECTOR
+    code[~finite] = CODE_NON_FINITE
+    with np.errstate(over="ignore"):  # inf is the answer where f(u, u) overflows
+        f_uu = np.where(valid, np.ldexp(f_uu, 2 * exponent + metric_exponent), np.nan)
+    return cos, code, f_uu

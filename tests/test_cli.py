@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(*args, timeout=120):
@@ -50,6 +51,49 @@ def test_classify_zero_vector_exits_2():
 def test_classify_malformed_vector_exits_2():
     result = run_cli("classify", "--metric", "1,0", "--vector", "1,oops,0")
     assert result.returncode == 2
+
+
+def test_classify_non_finite_vector_exits_2():
+    result = run_cli("classify", "--metric", "1,0", "--vector=1,2,nan")
+    assert result.returncode == 2
+    assert result.stderr == "error: vector components must be finite\n"
+
+
+def classify_fields(*args):
+    result = run_cli("classify", *args)
+    assert result.returncode == 0, result.stderr
+    return dict(field.split("=") for field in result.stdout.split())
+
+
+def test_classify_huge_vector_is_spacelike():
+    # 1e200**2 overflows, which once read cos_phi=nan and character=null.
+    fields = classify_fields("--metric", "2,0.5", "--vector=1e200,1e200,1e200")
+    assert fields == {"character": "spacelike", "cos_phi": "1", "phi_rad": "0", "f_uu": "inf"}
+
+
+def test_classify_large_vector_has_finite_cos_phi():
+    fields = classify_fields("--metric", "2,0.5", "--vector=1e155,-2e155,5e154")
+    # g(u, u) = 8 and g(u, qu) = -3.625 for u = (1, -2, 0.5).
+    assert abs(float(fields["cos_phi"]) + 0.453125) <= 1e-15
+    assert fields["character"] == "timelike"
+    assert abs(math.cos(float(fields["phi_rad"])) + 0.453125) <= 1e-15
+
+
+def test_classify_tiny_vector_is_not_zero():
+    # 1e-200**2 underflows to 0, which once read as a zero vector.
+    fields = classify_fields("--metric", "2,0.5", "--vector=1e-200,1e-200,1e-200")
+    assert fields == {"character": "spacelike", "cos_phi": "1", "phi_rad": "0", "f_uu": "0"}
+
+
+def test_invariant_violation_exits_1(monkeypatch, capsys):
+    from circgeo import InvariantViolation, cli
+
+    def broken(*args):
+        raise InvariantViolation("shift-angle cosine nan outside [-1/2, 1]")
+
+    monkeypatch.setattr(cli, "classify_many", broken)
+    assert cli.main(["classify", "--metric", "1,0", "--vector", "1,1,1"]) == 1
+    assert capsys.readouterr().err == "error: shift-angle cosine nan outside [-1/2, 1]\n"
 
 
 # ---------------------------------------------------------------- batch
@@ -102,6 +146,65 @@ def test_batch_bad_row_names_line(tmp_path):
     )
     assert result.returncode == 2
     assert "line 3" in result.stderr
+
+
+def test_batch_golden_report(tmp_path):
+    # The report of this corpus (uniform, near-null, zero and mixed-magnitude
+    # rows) was captured from the row-by-row implementation that preceded the
+    # vectorised kernel; every byte must stay the same.
+    out = tmp_path / "report.txt"
+    result = run_cli(
+        "classify-batch", "--metric", "1.75,0.375",
+        "--input", str(DATA / "batch_golden.csv"), "--output", str(out),
+    )
+    assert result.returncode == 0
+    assert result.stdout == f"wrote 500 rows to {out}\n"
+    assert out.read_bytes() == (DATA / "batch_golden_report.txt").read_bytes()
+
+
+def batch_report(tmp_path, rows, metric="2,0.5"):
+    """Report lines of classify-batch on rows of CSV text, each split into a field dict."""
+    csv = tmp_path / "rows.csv"
+    out = tmp_path / "report.txt"
+    csv.write_text("x,y,z\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+    result = run_cli("classify-batch", "--metric", metric, "--input", str(csv), "--output", str(out))
+    assert result.returncode == 0, result.stderr
+    lines = out.read_text(encoding="utf-8").splitlines()[3:]
+    return [dict(field.split("=") for field in line.split()[1:]) for line in lines]
+
+
+def test_batch_extreme_magnitudes(tmp_path):
+    rows = batch_report(
+        tmp_path, ["1e200,1e200,1e200", "1e155,-2e155,5e154", "1e-200,1e-200,1e-200"]
+    )
+    assert [r["character"] for r in rows] == ["spacelike", "timelike", "spacelike"]
+    assert rows[0]["cos_phi"] == rows[2]["cos_phi"] == "1"
+    assert abs(float(rows[1]["cos_phi"]) + 0.453125) <= 1e-15
+
+
+def test_batch_rows_scaled_by_2_pow_540(tmp_path):
+    # Squares of 2**540 overflow and squares of 2**-540 underflow; the rows
+    # must still read exactly as their unscaled originals.
+    base = [(1.0, 2.0, 3.0), (3.0, -1.0, 2.0), (1.0, -1.0, 0.0), (1.0, 0.0, 0.0), (-0.5, 4.0, 1.25)]
+    texts = []
+    for k in (0, 540, -540):
+        texts += [",".join(repr(math.ldexp(c, k)) for c in u) for u in base]
+    rows = batch_report(tmp_path, texts, metric="1,0")
+    keys = ("cos_phi", "phi_rad", "character")
+    plain = [[r[key] for key in keys] for r in rows[: len(base)]]
+    assert [[r[key] for key in keys] for r in rows[len(base) : 2 * len(base)]] == plain
+    assert [[r[key] for key in keys] for r in rows[2 * len(base) :]] == plain
+    assert [p[2] for p in plain] == ["spacelike", "spacelike", "timelike", "null", "spacelike"]
+
+
+def test_batch_non_finite_rows_are_row_errors(tmp_path):
+    rows = batch_report(tmp_path, ["1,1,1", "nan,0,0", "1,inf,0", "-inf,2,3", "0,0,0"])
+    assert [r["character"] for r in rows] == [
+        "spacelike", "error:non-finite", "error:non-finite", "error:non-finite", "error:zero-vector",
+    ]
+    for r in rows[1:]:
+        assert (r["cos_phi"], r["phi_rad"]) == ("nan", "nan")
+    assert (rows[1]["x"], rows[2]["y"], rows[3]["x"]) == ("nan", "inf", "-inf")
 
 
 # ---------------------------------------------------------------- qbasis

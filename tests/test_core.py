@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circgeo import (
+    CHARACTER_BY_CODE,
+    CODE_NON_FINITE,
+    CODE_ZERO_VECTOR,
     CausalCharacter,
     CirculantMetric,
     GeometryError,
@@ -15,6 +20,7 @@ from circgeo import (
     ZeroVectorError,
     causal_character,
     clamp_cos,
+    classify_many,
     cos_phi,
     f_inner,
     g_inner,
@@ -22,7 +28,7 @@ from circgeo import (
     phi_angle,
     q_apply,
 )
-from circgeo.oracle import random_metric, random_vector
+from circgeo.oracle import dense_g_inner, random_metric, random_vector
 
 
 def dense_inner(a, b, u, v):
@@ -138,6 +144,12 @@ def test_clamp_cos():
         clamp_cos(-0.7)
 
 
+def test_clamp_cos_rejects_nan():
+    # NaN fails every comparison, so a bare range test would let it clamp to -1/2.
+    with pytest.raises(InvariantViolation):
+        clamp_cos(math.nan)
+
+
 def test_phi_angle():
     m = CirculantMetric(1.0, 0.0)
     assert phi_angle(m, [1, 1, 1]) == 0.0
@@ -239,3 +251,128 @@ def test_character_preserved_by_shift():
         qu = q_apply(u)
         assert causal_character(m, qu) is char
         assert causal_character(m, q_apply(qu)) is char
+
+
+# ---------------------------------------------------------------- batch kernel
+
+
+def bits(x):
+    """The float64 bit patterns of x, so nan compares equal to the same nan."""
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def near_null_rows(m, rng, n):
+    """Rows u = (s/3)(1, 1, 1) + w, w orthogonal to (1, 1, 1), with cos_phi(u) ~ t.
+
+    g(u, qu) and g(u, u) depend on u only through s and |w|, and cos_phi = t
+    exactly when |w|^2 = s^2 (1 - t)((a - b)/3 + b) / ((a - b)(1/2 + t)).
+    """
+    a, b = m.a, m.b
+    s = rng.uniform(1.0, 10.0, n)
+    t = rng.uniform(-4e-9, 4e-9, n)
+    w_norm = np.sqrt(s * s * (1.0 - t) * ((a - b) / 3.0 + b) / ((a - b) * (0.5 + t)))
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    e1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    e2 = np.array([1.0, 1.0, -2.0]) / math.sqrt(6.0)
+    w = w_norm[:, None] * (np.cos(theta)[:, None] * e1 + np.sin(theta)[:, None] * e2)
+    return (s / 3.0)[:, None] + w
+
+
+def test_classify_many_matches_scalar_and_dense_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        m = random_metric(rng)
+        rows = np.vstack([[random_vector(rng) for _ in range(40)], near_null_rows(m, rng, 20)])
+        cos, code, f_uu = classify_many(m, rows)
+        for u, c, k, f in zip(rows, cos, code, f_uu):
+            # Bit for bit the scalar path on rows that need no scaling.
+            assert bits(c) == bits(cos_phi(m, u))
+            assert CHARACTER_BY_CODE[k] is causal_character(m, u)
+            assert bits(f) == bits(f_inner(m, u, u))
+            # Against the dense-matrix oracle, which shares no arithmetic.
+            ref = dense_g_inner(m, u, q_apply(u)) / dense_g_inner(m, u, u)
+            assert abs(c - ref) <= 1e-12
+            if abs(ref) > 2e-9:
+                expected = CausalCharacter.SPACELIKE if ref > 0.0 else CausalCharacter.TIMELIKE
+                assert CHARACTER_BY_CODE[k] is expected
+
+
+def test_classify_many_codes_zero_and_non_finite_rows():
+    m = CirculantMetric(1.0, 0.0)
+    rows = [[1, 1, 1], [0, 0, 0], [1, math.nan, 0], [math.inf, 0, 0], [1, -1, 0], [1, 0, 0]]
+    cos, code, f_uu = classify_many(m, rows)
+    assert code.tolist() == [0, CODE_ZERO_VECTOR, CODE_NON_FINITE, CODE_NON_FINITE, 2, 1]
+    assert np.isnan(cos[1:4]).all() and np.isnan(f_uu[1:4]).all()
+    assert cos[[0, 4, 5]].tolist() == [1.0, -0.5, 0.0]
+    assert f_uu[[0, 4, 5]].tolist() == [6.0, -2.0, 0.0]
+
+
+def test_classify_many_validates_shape():
+    m = CirculantMetric(1.0, 0.0)
+    assert classify_many(m, np.empty((0, 3)))[0].shape == (0,)
+    for bad in ([1.0, 2.0, 3.0], np.ones((2, 4)), np.ones((2, 3, 1))):
+        with pytest.raises(GeometryError):
+            classify_many(m, bad)
+
+
+def test_classify_many_range_check():
+    # circ(1, -2, -2) is indefinite, so a cosine can leave [-1/2, 1]; the
+    # metric is built around its own validation to reach the check.
+    broken = object.__new__(CirculantMetric)
+    object.__setattr__(broken, "a", 1.0)
+    object.__setattr__(broken, "b", -2.0)
+    with pytest.raises(InvariantViolation):
+        classify_many(broken, [[1.0, 1.0, 0.9]])
+
+
+@pytest.mark.parametrize(
+    "u, character",
+    [
+        ([1e200, 1e200, 1e200], CausalCharacter.SPACELIKE),
+        ([1e155, -2e155, 5e154], CausalCharacter.TIMELIKE),
+        ([1e-200, 1e-200, 1e-200], CausalCharacter.SPACELIKE),
+    ],
+)
+def test_classify_many_extreme_magnitudes(u, character):
+    # Products of these components overflow or underflow in g_inner.
+    m = CirculantMetric(2.0, 0.5)
+    cos, code, _ = classify_many(m, [u])
+    assert CHARACTER_BY_CODE[code[0]] is character
+    unit = np.asarray(u) / max(abs(x) for x in u)
+    ref = dense_g_inner(m, unit, q_apply(unit)) / dense_g_inner(m, unit, unit)
+    assert abs(cos[0] - ref) <= 1e-15
+
+
+_component = st.one_of(st.just(0.0), st.floats(2.0**-20, 2.0**20)).flatmap(
+    lambda v: st.sampled_from([v, -v])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_component, _component, _component), min_size=1, max_size=8),
+    k=st.integers(-1000, 1000),
+    j=st.integers(-1000, 1000),
+    b_percent=st.integers(-49, 99),
+)
+def test_classify_many_scale_invariant(rows, k, j, b_percent):
+    # Magnitudes in [2^-20, 2^20] keep 2^k * u exact for |k| <= 1000, and
+    # |b| >= 1/100 keeps the metric 2^j * circ(1, b, b) exact.
+    b = b_percent / 100.0
+    u = np.array(rows)
+    cos, code, _ = classify_many(CirculantMetric(1.0, b), u)
+    scaled = CirculantMetric(math.ldexp(1.0, j), math.ldexp(b, j))
+    cos_k, code_k, _ = classify_many(scaled, np.ldexp(u, k))
+    assert np.array_equal(code_k, code)
+    assert np.array_equal(bits(cos_k), bits(cos))
+
+
+def test_classify_many_extreme_metric():
+    # With circ(1e308, 0, 0) unscaled, g(u, u) overflows to inf while
+    # g(u, qu) stays finite, which read cos_phi = 0 and character null.
+    u = [[0.99, 0.9, -0.5]]
+    cos, code, f_uu = classify_many(CirculantMetric(1e308, 0.0), u)
+    cos_1, code_1, f_uu_1 = classify_many(CirculantMetric(1.0, 0.0), u)
+    assert (code[0], bits(cos[0])) == (code_1[0], bits(cos_1[0]))
+    assert CHARACTER_BY_CODE[code[0]] is CausalCharacter.TIMELIKE
+    assert f_uu[0] == pytest.approx(1e308 * f_uu_1[0], rel=1e-15)
