@@ -8,6 +8,7 @@ shortest decimal that round-trips.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
@@ -101,17 +102,24 @@ def _cmd_classify(args) -> int:
 
 
 def _read_batch_rows(path: str) -> np.ndarray:
-    """The CSV's rows as an (N, 3) float array; parse errors name their line."""
+    """The CSV's rows as an (N, 3) float array; every input error names its line."""
     try:
-        fh = open(path, encoding="utf-8", newline="\n")
+        fh = open(path, "rb")
     except OSError as exc:
         raise GeometryError(f"cannot read {path!r}: {exc}") from None
     with fh:
-        if fh.readline().strip() != "x,y,z":
-            raise GeometryError("line 1: expected CSV header 'x,y,z'")
         values = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.removesuffix("\n")
+        # Each line is decoded on its own, so a bad byte is blamed on its line.
+        # The header comes first even from an empty file, which then fails it.
+        for lineno, raw in enumerate(itertools.chain([fh.readline()], fh), start=1):
+            try:
+                line = raw.decode("utf-8").removesuffix("\n")
+            except UnicodeDecodeError:
+                raise GeometryError(f"line {lineno}: not valid UTF-8") from None
+            if lineno == 1:
+                if line.strip() != "x,y,z":
+                    raise GeometryError("line 1: expected CSV header 'x,y,z'")
+                continue
             parts = line.strip().split(",")
             if len(parts) != 3:
                 raise GeometryError(f"line {lineno}: expected three comma-separated reals, got {line!r}")

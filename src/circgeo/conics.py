@@ -21,6 +21,7 @@ from .core import (
     AngleDomainError,
     GeometryError,
     ToleranceConfig,
+    _scalar,
     fmt_float,
 )
 
@@ -50,21 +51,26 @@ COS_PHI_MAX = math.cos(PHI_MIN)
 _SQRT2 = math.sqrt(2.0)
 
 
-def _check_cos(c: float) -> float:
-    c = float(c)
-    if not math.isfinite(c) or c > COS_PHI_MAX or c < -0.5 - 1e-12:
+def _check_cos(c):
+    c = np.asarray(c, dtype=float)
+    bad = ~((c <= COS_PHI_MAX) & (c >= -0.5 - 1e-12))  # nan fails every comparison
+    if bad.any():
         raise AngleDomainError(
-            f"cos(phi) = {c!r} outside the admissible range "
+            f"cos(phi) = {float(c[bad].flat[0])!r} outside the admissible range "
             f"[-1/2, cos({PHI_MIN})] (phi must lie in [{PHI_MIN}, 2*pi/3])"
         )
-    return max(c, -0.5)
+    return _scalar(np.maximum(c, -0.5))
 
 
 @dataclass(frozen=True)
 class ConicSpec:
-    """Shift-angle cosine and level constant r2 of a plane circle f(v, v) = r2."""
+    """Shift-angle cosine and level constant r2 of a plane circle f(v, v) = r2.
 
-    cos_phi: float
+    cos_phi may be an array of cosines: conic_coefficients and discriminant
+    broadcast over it, while classify_conic takes one.
+    """
+
+    cos_phi: float | np.ndarray
     r2: float
 
     def __post_init__(self):
@@ -115,21 +121,21 @@ class ConicClassification:
     circle_radius: float | None = None
 
 
-def plane_f_values(cos_phi: float) -> tuple[float, float, float]:
+def plane_f_values(cos_phi):
     """Values (f(u,u), f(u,w), f(w,w)) of the form on the orthonormal plane frame.
 
-    With c = cos phi and s = sin phi:
+    Broadcasts over an array of cosines. With c = cos phi and s = sin phi:
         f(u, u) = 2c,   f(u, w) = (1 - c)(1 + 2c) / s,
         f(w, w) = -2 c^2 / (1 + c).
     The middle numerator is kept factored: the expanded 1 + c - 2c^2 cancels
     catastrophically as c -> 1.
     """
     c = _check_cos(cos_phi)
-    s = math.sqrt((1.0 - c) * (1.0 + c))
+    s = np.sqrt((1.0 - c) * (1.0 + c))
     f_uu = 2.0 * c
     f_uw = (1.0 - c) * (1.0 + 2.0 * c) / s
     f_ww = -2.0 * c * c / (1.0 + c)
-    return f_uu, f_uw, f_ww
+    return _scalar(f_uu), _scalar(f_uw), _scalar(f_ww)
 
 
 def conic_coefficients(spec: ConicSpec) -> ConicCoefficients:
@@ -138,10 +144,10 @@ def conic_coefficients(spec: ConicSpec) -> ConicCoefficients:
     A = c, B = (1 - c)(1 + 2c)/s, C = -c^2/(1 + c), rhs = r2/2.
     """
     c = spec.cos_phi
-    s = math.sqrt((1.0 - c) * (1.0 + c))
+    s = np.sqrt((1.0 - c) * (1.0 + c))
     return ConicCoefficients(
         A=c,
-        B=(1.0 - c) * (1.0 + 2.0 * c) / s,
+        B=_scalar((1.0 - c) * (1.0 + 2.0 * c) / s),
         C=-c * c / (1.0 + c),
         rhs=spec.r2 / 2.0,
     )
@@ -289,10 +295,8 @@ def degenerate_expansion_check(
     k = conic_coefficients(spec)
     if points is None:
         grid = np.linspace(-2.0, 2.0, 11)
-        points = [(x, y) for x in grid for y in grid]
-    worst = 0.0
-    for x, y in points:
-        lhs = k.A * x * x + k.B * x * y + k.C * y * y - k.rhs
-        square = (_SQRT2 * x - y) ** 2 + 3.0 * spec.r2
-        worst = max(worst, abs(-6.0 * lhs - square))
-    return worst
+        points = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
+    x, y = np.moveaxis(np.asarray(points, dtype=float), -1, 0)
+    lhs = k.A * x * x + k.B * x * y + k.C * y * y - k.rhs
+    square = (_SQRT2 * x - y) ** 2 + 3.0 * spec.r2
+    return float(np.max(np.abs(-6.0 * lhs - square), initial=0.0))

@@ -6,6 +6,10 @@ the identity) and a positive definite circulant metric g = circ(a, b, b).
 The shift is an isometry of every such g, and together they induce an
 indefinite symmetric bilinear form f(u, v) = g(u, qv) + g(qu, v) that splits
 nonzero vectors into spacelike, null and timelike.
+
+Every form here broadcasts over stacks of vectors of shape (..., 3) and over
+stacks of metrics, and is computed by one set of helpers that first scale the
+vectors and the metric by powers of two, so no product overflows or underflows.
 """
 
 from __future__ import annotations
@@ -97,6 +101,14 @@ class ToleranceConfig:
 
 DEFAULT_TOLERANCES = ToleranceConfig()
 
+# The cyclic shift (x, y, z) -> (y, z, x) as an index along the last axis.
+_Q = [1, 2, 0]
+
+
+def _scalar(x):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(x) if np.ndim(x) == 0 else x
+
 
 @dataclass(frozen=True)
 class CirculantMetric:
@@ -104,30 +116,37 @@ class CirculantMetric:
 
     The eigenvalues of circ(a, b, b) are a + 2b (once) and a - b (twice), so
     positive definiteness is exactly a + 2b > 0 and a - b > 0; a > 0 follows
-    but is checked too since it guards against swapped arguments.
+    but is checked too since it guards against swapped arguments. a and b may
+    be arrays, a stack of metrics that broadcasts, numpy style, against the
+    shape of a vector stack without its last axis; every entry is validated.
+    Scalars are kept as floats.
     """
 
-    a: float
-    b: float
+    a: float | np.ndarray
+    b: float | np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+        a, b = np.broadcast_arrays(np.array(self.a, dtype=float), np.array(self.b, dtype=float))
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise InvalidMetricError("metric coefficients must be finite")
-        if self.a <= 0.0 or self.a - self.b <= 0.0 or self.a + 2.0 * self.b <= 0.0:
+        bad = ~((a > 0.0) & (a - b > 0.0) & (a + 2.0 * b > 0.0))
+        if bad.any():
+            i = np.argmax(bad)
+            a, b = float(a.flat[i]), float(b.flat[i])
             raise InvalidMetricError(
-                f"circ({self.a}, {self.b}, {self.b}) is not positive definite: "
+                f"circ({a}, {b}, {b}) is not positive definite: "
                 "requires a > 0, a - b > 0 and a + 2b > 0"
             )
+        object.__setattr__(self, "a", _scalar(a))
+        object.__setattr__(self, "b", _scalar(b))
 
 
 def as_vector(u) -> np.ndarray:
-    """Coerce to a finite float 3-vector."""
+    """Coerce to a finite float 3-vector, or a stack of them of shape (..., 3)."""
     v = np.asarray(u, dtype=float)
-    if v.shape != (3,):
+    if v.ndim == 0 or v.shape[-1] != 3:
         raise GeometryError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise GeometryError("vector components must be finite")
     return v
 
@@ -140,98 +159,110 @@ def fmt_float(x: float) -> str:
     return repr(v)
 
 
-def _shift(v: np.ndarray) -> np.ndarray:
-    return np.array([v[1], v[2], v[0]])
+def _unit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vector divided by the power of two of its largest component, and that exponent.
+
+    The division is exact (Blue's overflow-safe scaling, ACM TOMS 1978), so
+    the products below neither overflow nor underflow, and a result scaled
+    back with _ldexp is the unscaled result wherever that one is in range.
+    """
+    _, exponent = np.frexp(np.abs(x).max(axis=-1, initial=0.0))
+    return np.ldexp(x, -exponent[..., None]), exponent
 
 
-def _g(m: CirculantMetric, u: np.ndarray, v: np.ndarray) -> float:
-    return (m.a - m.b) * float(u @ v) + m.b * float(u.sum()) * float(v.sum())
+def _unit_metric(m: CirculantMetric):
+    """(a - b, b, exponent) of the metric divided by the power of two of a (> |b|)."""
+    _, exponent = np.frexp(m.a)
+    b = np.ldexp(m.b, -exponent)
+    return np.ldexp(m.a, -exponent) - b, b, exponent
 
 
-def _cos_phi(m: CirculantMetric, v: np.ndarray) -> float:
-    denom = _g(m, v, v)
-    if denom == 0.0:
-        raise ZeroVectorError("cos_phi is undefined for the zero vector")
-    return _g(m, v, _shift(v)) / denom
+def _form(metric, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """g(u, v) by the split circ(a, b, b) = (a - b) I + b J, J all ones; sums run (x + y) + z."""
+    a_minus_b, b, _ = metric
+    s_u, s_v = (u[..., 0] + u[..., 1]) + u[..., 2], (v[..., 0] + v[..., 1]) + v[..., 2]
+    return a_minus_b * np.vecdot(u, v) + b * s_u * s_v
 
 
-def _f(m: CirculantMetric, u: np.ndarray, v: np.ndarray) -> float:
-    return _g(m, u, _shift(v)) + _g(m, _shift(u), v)
+def _ldexp(x, exponent):
+    """x * 2^exponent; inf or 0 is the answer where the true value leaves the float range."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(x, exponent)
 
 
 def q_apply(u) -> np.ndarray:
     """Cyclic shift (x, y, z) -> (y, z, x). Applying it three times is the identity."""
-    return _shift(as_vector(u))
+    return as_vector(u)[..., _Q]
 
 
-def g_inner(m: CirculantMetric, u, v) -> float:
-    """Inner product under circ(a, b, b).
-
-    Uses the rank-one split circ(a, b, b) = (a - b) I + b J, J the all-ones
-    matrix, so the metric is never materialized as a dense matrix.
-    """
-    return _g(m, as_vector(u), as_vector(v))
+def g_inner(m: CirculantMetric, u, v) -> float | np.ndarray:
+    """Inner product under circ(a, b, b); broadcasts over stacks of vectors and metrics."""
+    (u, eu), (v, ev) = _unit(as_vector(u)), _unit(as_vector(v))
+    metric = _unit_metric(m)
+    return _scalar(_ldexp(_form(metric, u, v), eu + ev + metric[2]))
 
 
-def g_norm(m: CirculantMetric, u) -> float:
+def g_norm(m: CirculantMetric, u) -> float | np.ndarray:
     """Norm sqrt(g(u, u)); zero only for the zero vector."""
-    v = as_vector(u)
-    return math.sqrt(max(0.0, _g(m, v, v)))
+    u, exponent = _unit(as_vector(u))
+    metric = _unit_metric(m)
+    exponent = 2 * exponent + metric[2]
+    odd = exponent & 1  # an even power of two leaves the square root exact
+    norm_sq = np.maximum(0.0, _form(metric, u, u))
+    return _scalar(_ldexp(np.sqrt(np.ldexp(norm_sq, odd)), (exponent - odd) // 2))
 
 
-def cos_phi(m: CirculantMetric, u) -> float:
+def cos_phi(m: CirculantMetric, u) -> float | np.ndarray:
     """Cosine of the angle between u and its shift: g(u, qu) / g(u, u).
 
-    The value lies in [-1/2, 1] up to rounding for every valid metric.
+    The value lies in [-1/2, 1] up to rounding for every valid metric, and it
+    does not depend on the scale of u or of the metric.
     """
-    return _cos_phi(m, as_vector(u))
+    cos = _classify(m, as_vector(u), DEFAULT_TOLERANCES)[0]
+    if np.isnan(cos).any():
+        raise ZeroVectorError("cos_phi is undefined for the zero vector")
+    return _scalar(cos)
 
 
-def clamp_cos(c: float, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """Clamp a shift-angle cosine into [-1/2, 1] before any arccos.
+def clamp_cos(c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float | np.ndarray:
+    """Clamp shift-angle cosines into [-1/2, 1] before any arccos.
 
     Values outside the interval by more than eps_angle are not rounding noise
     and indicate a broken caller, so they raise instead of clamping silently.
     NaN lies in no interval and raises too.
     """
-    if not -0.5 - tol.eps_angle <= c <= 1.0 + tol.eps_angle:
+    c = np.asarray(c, dtype=float)
+    in_range = (c >= -0.5 - tol.eps_angle) & (c <= 1.0 + tol.eps_angle)
+    if not in_range.all():
+        bad = float(c[~in_range].flat[0])
         raise InvariantViolation(
-            f"shift-angle cosine {c!r} outside [-1/2, 1] by more than eps_angle"
+            f"shift-angle cosine {bad!r} outside [-1/2, 1] by more than eps_angle"
         )
-    return min(1.0, max(-0.5, c))
+    return _scalar(np.clip(c, -0.5, 1.0))
+
+
+def _one_vector(m: CirculantMetric, u) -> np.ndarray:
+    v = as_vector(u)
+    if v.shape != (3,) or np.ndim(m.a) != 0:
+        raise GeometryError(f"expected one 3-vector under one metric, got shape {v.shape}")
+    return v
 
 
 def phi_angle(m: CirculantMetric, u, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Angle between u and its shift, in radians, in [0, 2*pi/3]."""
-    return math.acos(clamp_cos(_cos_phi(m, as_vector(u)), tol))
+    return math.acos(clamp_cos(cos_phi(m, _one_vector(m, u)), tol))
 
 
-def f_inner(m: CirculantMetric, u, v) -> float:
+def f_inner(m: CirculantMetric, u, v) -> float | np.ndarray:
     """Associated indefinite form f(u, v) = g(u, qv) + g(qu, v).
 
     Symmetric, bilinear, and shift-invariant: f(qu, qv) = f(u, v). On the
     diagonal f(u, u) = 2 g(u, qu) = 2 g(u, u) cos_phi(u).
     """
-    return _f(m, as_vector(u), as_vector(v))
-
-
-def causal_character(
-    m: CirculantMetric, u, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> CausalCharacter:
-    """Classify a nonzero vector by the sign of f(u, u).
-
-    The null band is relative: |f(u, u)| <= eps_null * 2 g(u, u), which by
-    f(u, u) = 2 g(u, u) cos_phi(u) is the scale-free test |cos_phi| <= eps_null.
-    Spacelike above the band, timelike below. The shift preserves the result.
-    """
-    v = as_vector(u)
-    norm_sq = _g(m, v, v)
-    if norm_sq == 0.0:
-        raise ZeroVectorError("causal character is undefined for the zero vector")
-    f_uu = _f(m, v, v)
-    if abs(f_uu) <= tol.eps_null * 2.0 * norm_sq:
-        return CausalCharacter.NULL
-    return CausalCharacter.SPACELIKE if f_uu > 0.0 else CausalCharacter.TIMELIKE
+    (u, eu), (v, ev) = _unit(as_vector(u)), _unit(as_vector(v))
+    metric = _unit_metric(m)
+    f = _form(metric, u, v[..., _Q]) + _form(metric, u[..., _Q], v)
+    return _scalar(_ldexp(f, eu + ev + metric[2]))
 
 
 # Character codes of classify_many: 0, 1, 2 index CHARACTER_BY_CODE, and two
@@ -241,6 +272,41 @@ CODE_ZERO_VECTOR = 3
 CODE_NON_FINITE = 4
 
 
+def _classify(m: CirculantMetric, x: np.ndarray, tol: ToleranceConfig):
+    """(cos_phi, code, f_uu / 2^exponent, exponent) of finite vectors.
+
+    code is CODE_ZERO_VECTOR on zero vectors, where cos_phi is nan. Null when
+    |f(u, u)| <= eps_null * 2 g(u, u), which by f(u, u) = 2 g(u, u) cos_phi(u)
+    is the scale-free test |cos_phi| <= eps_null; else spacelike above the
+    band and timelike below.
+    """
+    u, exponent = _unit(x)
+    metric = _unit_metric(m)
+    qu = u[..., _Q]
+    norm_sq = _form(metric, u, u)
+    g_uqu = _form(metric, u, qu)
+    f_uu = g_uqu + _form(metric, qu, u)
+    zero = norm_sq == 0.0
+    code = np.where(f_uu > 0.0, 0, 2).astype(np.int8)
+    code[np.abs(f_uu) <= tol.eps_null * 2.0 * norm_sq] = 1
+    code[zero] = CODE_ZERO_VECTOR
+    return g_uqu / np.where(zero, np.nan, norm_sq), code, f_uu, 2 * exponent + metric[2]
+
+
+def causal_character(
+    m: CirculantMetric, u, tol: ToleranceConfig = DEFAULT_TOLERANCES
+) -> CausalCharacter:
+    """Classify a nonzero vector by the sign of f(u, u), as classify_many does.
+
+    The null band is relative, so the result depends on neither the scale of
+    u nor that of the metric. The shift preserves the result.
+    """
+    code = _classify(m, _one_vector(m, u), tol)[1]
+    if code == CODE_ZERO_VECTOR:
+        raise ZeroVectorError("causal character is undefined for the zero vector")
+    return CHARACTER_BY_CODE[code]
+
+
 def classify_many(
     m: CirculantMetric, rows, tol: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,14 +314,10 @@ def classify_many(
 
     code indexes CHARACTER_BY_CODE, or is CODE_ZERO_VECTOR or CODE_NON_FINITE
     for rows that have no character; cos_phi and f_uu are nan on those rows.
-    The decision is causal_character's: null when |f(u, u)| <= eps_null *
-    2 g(u, u), else the sign of f(u, u). Each row is first divided by the
-    power of two of its largest component (Blue's overflow-safe scaling), and
-    the metric by that of a. Both divisions are exact, so products neither
-    overflow nor underflow, and cos_phi and the code depend on neither scale.
-    f_uu is scaled back and reads inf or 0 where the true value leaves the
-    float range. Raises InvariantViolation if a cosine lies outside [-1/2, 1]
-    by more than eps_angle, as clamp_cos does.
+    The code and cos_phi are those of causal_character and cos_phi, and f_uu
+    that of f_inner. The metric may be a stack of N metrics. Raises
+    InvariantViolation if a cosine lies outside [-1/2, 1] by more than
+    eps_angle, as clamp_cos does.
     """
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3:
@@ -263,35 +325,8 @@ def classify_many(
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         x = np.where(finite[:, None], x, 0.0)
-    _, exponent = np.frexp(np.abs(x).max(axis=1, initial=0.0))
-    u = np.ldexp(x, -exponent[:, None])
-    qu = u[:, [1, 2, 0]]
-    # The sums in the order (x + y) + z and np.vecdot, which calls the same
-    # dot as the scalar path's u @ v, keep every result bit for bit equal to
-    # the scalar functions' wherever those neither overflow nor underflow.
-    s_u = (u[:, 0] + u[:, 1]) + u[:, 2]
-    s_qu = (qu[:, 0] + qu[:, 1]) + qu[:, 2]
-    # a > |b| for every valid metric, so a sets the metric's scale.
-    _, metric_exponent = math.frexp(m.a)
-    b = math.ldexp(m.b, -metric_exponent)
-    a_minus_b = math.ldexp(m.a, -metric_exponent) - b
-    g_uu = a_minus_b * np.vecdot(u, u) + b * s_u * s_u
-    g_uqu = a_minus_b * np.vecdot(u, qu) + b * s_u * s_qu
-    g_quu = a_minus_b * np.vecdot(qu, u) + b * s_qu * s_u
-    f_uu = g_uqu + g_quu
-    valid = finite & (g_uu != 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos = np.where(valid, g_uqu / g_uu, np.nan)
-    in_range = (cos >= -0.5 - tol.eps_angle) & (cos <= 1.0 + tol.eps_angle)
-    if not np.all(in_range | ~valid):
-        bad = float(cos[np.flatnonzero(valid & ~in_range)[0]])
-        raise InvariantViolation(
-            f"shift-angle cosine {bad!r} outside [-1/2, 1] by more than eps_angle"
-        )
-    code = np.where(f_uu > 0.0, 0, 2).astype(np.int8)
-    code[np.abs(f_uu) <= tol.eps_null * 2.0 * g_uu] = 1
-    code[~valid] = CODE_ZERO_VECTOR
+    cos, code, f_uu, exponent = _classify(m, x, tol)
+    valid = finite & (code != CODE_ZERO_VECTOR)
+    clamp_cos(cos[valid], tol)
     code[~finite] = CODE_NON_FINITE
-    with np.errstate(over="ignore"):  # inf is the answer where f(u, u) overflows
-        f_uu = np.where(valid, np.ldexp(f_uu, 2 * exponent + metric_exponent), np.nan)
-    return cos, code, f_uu
+    return np.where(valid, cos, np.nan), code, np.where(valid, _ldexp(f_uu, exponent), np.nan)

@@ -21,6 +21,7 @@ from .core import (
     InvalidMetricError,
     ToleranceConfig,
     ZeroVectorError,
+    _scalar,
     as_vector,
     clamp_cos,
     cos_phi,
@@ -54,7 +55,7 @@ class PlaneFrame:
 
     u: np.ndarray
     w: np.ndarray
-    phi: float
+    phi: float | np.ndarray
 
 
 def is_q_basis(m: CirculantMetric, u, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
@@ -76,12 +77,13 @@ def orthonormal_q_basis(m: CirculantMetric) -> QBasis:
     Normalizing u0 to g-unit length then makes the whole Gram matrix of
     (u, qu, q2u) the identity, because the shift is a g-isometry. Any rotation
     of u0 about n would do as well; fixing e makes the output reproducible.
+    A stack of metrics gives a stack of bases.
     """
     disc = 2.0 * (m.a + 2.0 * m.b) / (m.a - m.b)
-    if not (disc > 0.0 and math.isfinite(disc)):
+    if not np.all((disc > 0.0) & np.isfinite(disc)):
         raise InvalidMetricError("metric does not admit the orthonormal construction")
-    u0 = _AXIS + math.sqrt(disc) * _SEED
-    u = u0 / g_norm(m, u0)
+    u0 = _AXIS + np.multiply.outer(np.sqrt(disc), _SEED)
+    u = u0 / np.expand_dims(g_norm(m, u0), -1)
     qu = q_apply(u)
     return QBasis(u=u, qu=qu, q2u=q_apply(qu))
 
@@ -94,30 +96,30 @@ def companion_w(
     w = (qu - u cos phi) / sin phi for the g-normalized u. The input is
     normalized internally, so the result depends only on the direction of u.
     Fails when u and qu are parallel (cos phi within eps_angle of 1): the
-    plane degenerates and sin phi vanishes.
+    plane degenerates and sin phi vanishes. Broadcasts over stacks of vectors
+    and metrics; phi is then an array too.
     """
     v = as_vector(u)
     norm = g_norm(m, v)
-    if norm == 0.0:
+    if np.any(norm == 0.0):
         raise ZeroVectorError("companion vector is undefined for the zero vector")
-    v = v / norm
+    v = v / np.expand_dims(norm, -1)
     c = clamp_cos(cos_phi(m, v), tol)
-    if c >= 1.0 - tol.eps_angle:
+    if np.any(c >= 1.0 - tol.eps_angle):
         raise DegenerateAngleError(
             "u and its shift are parallel (shift angle ~ 0); no 2-plane to frame"
         )
     # (1 - c)(1 + c) avoids the cancellation 1 - c*c suffers for c near 1.
-    sin = math.sqrt((1.0 - c) * (1.0 + c))
-    w = (q_apply(v) - c * v) / sin
-    return PlaneFrame(u=v, w=w, phi=math.acos(c))
+    sin = np.sqrt((1.0 - c) * (1.0 + c))
+    w = (q_apply(v) - np.expand_dims(c, -1) * v) / np.expand_dims(sin, -1)
+    return PlaneFrame(u=v, w=w, phi=_scalar(np.arccos(c)))
 
 
 def gram_matrix(m: CirculantMetric, vectors) -> np.ndarray:
-    """Matrix of pairwise g-inner products."""
-    vecs = [as_vector(v) for v in vectors]
-    n = len(vecs)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = g_inner(m, vecs[i], vecs[j])
-    return out
+    """Matrix of pairwise g-inner products of a sequence of k vectors.
+
+    Each entry of the sequence may be a stack of vectors; the result then has
+    shape (..., k, k).
+    """
+    v = as_vector(vectors)
+    return np.moveaxis(g_inner(m, v[:, None], v[None, :]), (0, 1), (-2, -1))

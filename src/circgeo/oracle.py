@@ -5,8 +5,9 @@ against brute-force reference computations (dense matrix sums, closed forms,
 explicit frame realizations). Randomness is drawn from counter-based Philox
 streams: check number k of a run with seed S reads exclusively from the
 generator keyed by SeedSequence(S, spawn_key=(k,)), so runs are reproducible
-bit for bit, checks are independent, and trials could run in parallel
-without changing any reported residual (residuals aggregate by max).
+bit for bit and checks are independent. The random families draw all of
+their trials at once as stacks of vectors and metrics, evaluate them with
+the broadcasting API, and report the worst residual over the stack.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    CHARACTER_BY_CODE,
+    DEFAULT_TOLERANCES,
     CausalCharacter,
     CirculantMetric,
     GeometryError,
-    causal_character,
+    classify_many,
     cos_phi,
     f_inner,
     g_inner,
@@ -76,43 +79,64 @@ class OracleReport:
     seed: int
 
 
-def dense_g_inner(m: CirculantMetric, u, v) -> float:
+def dense_g_inner(m: CirculantMetric, u, v):
     """Independent oracle for g_inner: materialize circ(a, b, b) and do the
-    full double sum. Shares nothing with g_inner beyond the (a, b) fields."""
-    matrix = [
-        [m.a, m.b, m.b],
-        [m.b, m.a, m.b],
-        [m.b, m.b, m.a],
-    ]
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    full double sum. Shares nothing with g_inner beyond the (a, b) fields.
+    Broadcasts over stacks of vectors and metrics like g_inner."""
+    matrix = [[m.a, m.b, m.b], [m.b, m.a, m.b], [m.b, m.b, m.a]]
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     total = 0.0
     for i in range(3):
         for j in range(3):
-            total += matrix[i][j] * u[i] * v[j]
+            total = total + matrix[i][j] * u[..., i] * v[..., j]
     return total
 
 
-def random_vector(rng: np.random.Generator) -> np.ndarray:
-    """Components uniform in [-10, 10]; redraws the (measure-zero in practice)
-    samples of Euclidean norm below 1e-6."""
-    while True:
-        v = rng.uniform(-10.0, 10.0, size=3)
-        if float(v @ v) >= 1e-12:
-            return v
+def random_vector(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Components uniform in [-10, 10]: one 3-vector, or an (n, 3) stack.
+
+    Redraws the (measure-zero in practice) vectors of Euclidean norm below 1e-6.
+    """
+    v = rng.uniform(-10.0, 10.0, size=3 if n is None else (n, 3))
+    short = np.vecdot(v, v) < 1e-12
+    while np.any(short):
+        v[short] = rng.uniform(-10.0, 10.0, size=v[short].shape)
+        short = np.vecdot(v, v) < 1e-12
+    return v
 
 
-def random_metric(rng: np.random.Generator) -> CirculantMetric:
+def random_metric(rng: np.random.Generator, n: int | None = None) -> CirculantMetric:
     """a uniform in [0.5, 5]; b uniform in (-a/2, a) with a 1e-3 * a margin off
-    both ends, so positive definiteness holds with room to spare."""
-    a = rng.uniform(0.5, 5.0)
+    both ends, so positive definiteness holds with room to spare. One metric,
+    or a stack of n."""
+    a = rng.uniform(0.5, 5.0, size=n)
     margin = 1e-3 * a
     b = rng.uniform(-0.5 * a + margin, a - margin)
     return CirculantMetric(a, b)
 
 
-def _rel(err: float, scale: float) -> float:
-    return abs(err) / (1.0 + abs(scale))
+def _rel(err, scale):
+    return np.abs(err) / (1.0 + np.abs(scale))
+
+
+def _worst(*residuals) -> float:
+    """Largest entry of the residual arrays, 0 when they are empty; nan propagates."""
+    return max((float(np.max(r, initial=0.0)) for r in residuals), default=0.0)
+
+
+def _subset(m: CirculantMetric, u: np.ndarray, keep: np.ndarray):
+    """The metrics and vectors of a stack where keep is true."""
+    return CirculantMetric(m.a[keep], m.b[keep]), u[keep]
+
+
+def _well_conditioned(m: CirculantMetric):
+    # Metrics within a few percent of the definiteness boundary give g-unit
+    # vectors with Euclidean components large enough that plain float noise
+    # in the bilinear form exceeds 1e-12; those are excluded from the checks
+    # that assert absolute 1e-12 bands. The same checks also gate the shift
+    # angle at cos < 1 - 1e-2: the cosine's own rounding enters g(w, w)
+    # amplified by 1/sin^2, so closer to parallel the band cannot hold.
+    return (m.a - m.b >= 0.05 * m.a) & (m.a + 2.0 * m.b >= 0.05 * m.a)
 
 
 def _phi_grid(n: int) -> np.ndarray:
@@ -121,199 +145,126 @@ def _phi_grid(n: int) -> np.ndarray:
     return PHI_MIN + step * (np.arange(n) + 0.5)
 
 
+_NULL = CHARACTER_BY_CODE.index(CausalCharacter.NULL)
+
 # Each check maps (rng, trials) to (max residual, evaluation count).
 Check = Callable[[np.random.Generator, int], tuple[float, int]]
 
 
-def _check_shift_cubed(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        u = random_vector(rng)
-        worst = max(worst, float(np.max(np.abs(q_apply(q_apply(q_apply(u))) - u))))
-    return worst, trials
+def _check_shift_cubed(rng, n):
+    u = random_vector(rng, n)
+    return _worst(np.abs(q_apply(q_apply(q_apply(u))) - u)), n
 
 
-def _check_isometry(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = random_metric(rng)
-        u, v = random_vector(rng), random_vector(rng)
-        guv = g_inner(m, u, v)
-        worst = max(worst, _rel(g_inner(m, q_apply(u), q_apply(v)) - guv, guv))
-    return worst, trials
+def _check_isometry(rng, n):
+    m, u, v = random_metric(rng, n), random_vector(rng, n), random_vector(rng, n)
+    guv = g_inner(m, u, v)
+    return _worst(_rel(g_inner(m, q_apply(u), q_apply(v)) - guv, guv)), n
 
 
-def _check_f_diagonal(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = random_metric(rng)
-        u = random_vector(rng)
-        ref = 2.0 * g_inner(m, u, q_apply(u))
-        worst = max(worst, _rel(f_inner(m, u, u) - ref, ref))
-    return worst, trials
+def _check_f_diagonal(rng, n):
+    m, u = random_metric(rng, n), random_vector(rng, n)
+    ref = 2.0 * g_inner(m, u, q_apply(u))
+    return _worst(_rel(f_inner(m, u, u) - ref, ref)), n
 
 
-def _check_f_shifted_pair(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = random_metric(rng)
-        u = random_vector(rng)
-        ref = g_inner(m, u, u) + g_inner(m, u, q_apply(u))
-        worst = max(worst, _rel(f_inner(m, u, q_apply(u)) - ref, ref))
-    return worst, trials
+def _check_f_shifted_pair(rng, n):
+    m, u = random_metric(rng, n), random_vector(rng, n)
+    ref = g_inner(m, u, u) + g_inner(m, u, q_apply(u))
+    return _worst(_rel(f_inner(m, u, q_apply(u)) - ref, ref)), n
 
 
-def _check_f_symmetric(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = random_metric(rng)
-        u, v = random_vector(rng), random_vector(rng)
-        fuv = f_inner(m, u, v)
-        worst = max(worst, _rel(f_inner(m, v, u) - fuv, fuv))
-    return worst, trials
+def _check_f_symmetric(rng, n):
+    m, u, v = random_metric(rng, n), random_vector(rng, n), random_vector(rng, n)
+    fuv = f_inner(m, u, v)
+    return _worst(_rel(f_inner(m, v, u) - fuv, fuv)), n
 
 
-def _check_f_shift_invariant(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = random_metric(rng)
-        u, v = random_vector(rng), random_vector(rng)
-        fuv = f_inner(m, u, v)
-        worst = max(worst, _rel(f_inner(m, q_apply(u), q_apply(v)) - fuv, fuv))
-    return worst, trials
+def _check_f_shift_invariant(rng, n):
+    m, u, v = random_metric(rng, n), random_vector(rng, n), random_vector(rng, n)
+    fuv = f_inner(m, u, v)
+    return _worst(_rel(f_inner(m, q_apply(u), q_apply(v)) - fuv, fuv)), n
 
 
-def _check_cos_range(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        c = cos_phi(random_metric(rng), random_vector(rng))
-        worst = max(worst, c - 1.0, -0.5 - c, 0.0)
-    return worst, trials
+def _check_cos_range(rng, n):
+    c = cos_phi(random_metric(rng, n), random_vector(rng, n))
+    return _worst(c - 1.0, -0.5 - c), n
 
 
-def _check_f_norm_cos(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = random_metric(rng)
-        u = random_vector(rng)
-        ref = 2.0 * g_inner(m, u, u) * cos_phi(m, u)
-        worst = max(worst, _rel(f_inner(m, u, u) - ref, ref))
-    return worst, trials
+def _check_f_norm_cos(rng, n):
+    m, u = random_metric(rng, n), random_vector(rng, n)
+    ref = 2.0 * g_inner(m, u, u) * cos_phi(m, u)
+    return _worst(_rel(f_inner(m, u, u) - ref, ref)), n
 
 
-def _check_character_shift_invariant(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = random_metric(rng)
-        u = random_vector(rng)
-        if abs(cos_phi(m, u)) <= 1e-8:  # stay clear of the null band
-            continue
-        char = causal_character(m, u)
-        qu = q_apply(u)
-        if causal_character(m, qu) is not char or causal_character(m, q_apply(qu)) is not char:
-            worst = 1.0
-    return worst, trials
+def _check_character_shift_invariant(rng, n):
+    m, u = random_metric(rng, n), random_vector(rng, n)
+    cos, code, _ = classify_many(m, u)
+    qu = q_apply(u)
+    moved = (classify_many(m, qu)[1] != code) | (classify_many(m, q_apply(qu))[1] != code)
+    # Only rows clear of the null band count.
+    return float(np.any(moved & (np.abs(cos) > 1e-8))), n
 
 
-def _check_dense_inner(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = random_metric(rng)
-        u, v = random_vector(rng), random_vector(rng)
-        ref = dense_g_inner(m, u, v)
-        worst = max(worst, _rel(g_inner(m, u, v) - ref, ref))
-    return worst, trials
+def _check_dense_inner(rng, n):
+    m, u, v = random_metric(rng, n), random_vector(rng, n), random_vector(rng, n)
+    ref = dense_g_inner(m, u, v)
+    return _worst(_rel(g_inner(m, u, v) - ref, ref)), n
 
 
-def _check_qbasis_gram(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = random_metric(rng)
-        basis = orthonormal_q_basis(m)
-        gram = gram_matrix(m, basis.vectors())
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(3)))))
-    return worst, trials
+def _check_qbasis_gram(rng, n):
+    m = random_metric(rng, n)
+    gram = gram_matrix(m, orthonormal_q_basis(m).vectors())
+    return _worst(np.abs(gram - np.eye(3))), n
 
 
-def _check_qbasis_null(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = random_metric(rng)
-        basis = orthonormal_q_basis(m)
-        for v in basis.vectors():
-            worst = max(worst, abs(cos_phi(m, v)))
-            if causal_character(m, v) is not CausalCharacter.NULL:
-                worst = 1.0
-    return worst, trials
+def _check_qbasis_null(rng, n):
+    m = random_metric(rng, n)
+    vectors = orthonormal_q_basis(m).vectors()
+    not_null = any(np.any(classify_many(m, v)[1] != _NULL) for v in vectors)
+    return _worst(np.abs(cos_phi(m, np.stack(vectors))), float(not_null)), n
 
 
-def _well_conditioned(m: CirculantMetric) -> bool:
-    # Metrics within a few percent of the definiteness boundary give g-unit
-    # vectors with Euclidean components large enough that plain float noise
-    # in the bilinear form exceeds 1e-12; those are excluded from the checks
-    # that assert absolute 1e-12 bands. The same checks also gate the shift
-    # angle at cos < 1 - 1e-2: the cosine's own rounding enters g(w, w)
-    # amplified by 1/sin^2, so closer to parallel the band cannot hold.
-    return m.a - m.b >= 0.05 * m.a and m.a + 2.0 * m.b >= 0.05 * m.a
+def _check_companion_orthonormal(rng, n):
+    m, u = random_metric(rng, n), random_vector(rng, n)
+    m, u = _subset(m, u, _well_conditioned(m) & (cos_phi(m, u) < 1.0 - 1e-2))
+    frame = companion_w(m, u)
+    u, w = frame.u, frame.w
+    return _worst(np.abs(g_inner(m, u, w)), np.abs(g_inner(m, w, w) - 1.0)), n
 
 
-def _check_companion_orthonormal(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = random_metric(rng)
-        u = random_vector(rng)
-        if not _well_conditioned(m) or cos_phi(m, u) >= 1.0 - 1e-2:
-            continue
-        frame = companion_w(m, u)
-        worst = max(worst, abs(g_inner(m, frame.u, frame.w)))
-        worst = max(worst, abs(g_inner(m, frame.w, frame.w) - 1.0))
-    return worst, trials
-
-
-def _check_companion_scale_invariant(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = random_metric(rng)
-        u = random_vector(rng)
-        if not _well_conditioned(m) or cos_phi(m, u) >= 1.0 - 1e-2:
-            continue
-        scale = rng.uniform(0.1, 10.0)
-        w1 = companion_w(m, u).w
-        w2 = companion_w(m, scale * u).w
-        # Relative: near-degenerate metrics make g-unit vectors Euclidean-large.
-        worst = max(worst, float(np.max(np.abs(w1 - w2)) / (1.0 + np.max(np.abs(w1)))))
-    return worst, trials
+def _check_companion_scale_invariant(rng, n):
+    m, u = random_metric(rng, n), random_vector(rng, n)
+    scaled = rng.uniform(0.1, 10.0, size=(n, 1)) * u
+    keep = _well_conditioned(m) & (cos_phi(m, u) < 1.0 - 1e-2)
+    m, u = _subset(m, u, keep)
+    w1 = companion_w(m, u).w
+    w2 = companion_w(m, scaled[keep]).w
+    # Relative: near-degenerate metrics make g-unit vectors Euclidean-large.
+    return _worst(np.max(np.abs(w1 - w2), axis=-1) / (1.0 + np.max(np.abs(w1), axis=-1))), n
 
 
 def _check_rotation_orthogonal(rng, trials):
-    residual = float(np.max(np.abs(ROTATION.T @ ROTATION - np.eye(3))))
-    residual = max(residual, abs(float(np.linalg.det(ROTATION)) - 1.0))
-    return residual, 1
+    return _worst(np.abs(ROTATION.T @ ROTATION - np.eye(3)), abs(np.linalg.det(ROTATION) - 1.0)), 1
 
 
 def _check_rotation_congruence(rng, trials):
     coeff = np.ones((3, 3)) - np.eye(3)  # matrix of the form 2(xy + xz + yz)
     target = np.diag([-1.0, -1.0, 2.0])
-    return float(np.max(np.abs(ROTATION.T @ coeff @ ROTATION - target))), 1
+    return _worst(np.abs(ROTATION.T @ coeff @ ROTATION - target)), 1
 
 
-def _check_form_transport(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        v = random_vector(rng)
-        value = sphere_form_value(v)
-        worst = max(worst, _rel(primed_form_value(to_primed(v)) - value, value))
-    return worst, trials
+def _check_form_transport(rng, n):
+    v = random_vector(rng, n)
+    value = sphere_form_value(v)
+    return _worst(_rel(primed_form_value(to_primed(v)) - value, value)), n
 
 
-def _check_identity_metric_consistency(rng, trials):
+def _check_identity_metric_consistency(rng, n):
     m = CirculantMetric(1.0, 0.0)  # standard basis is orthonormal for this g
-    worst = 0.0
-    for _ in range(trials):
-        v = random_vector(rng)
-        ref = sphere_form_value(v)
-        worst = max(worst, _rel(f_inner(m, v, v) - ref, ref))
-    return worst, trials
+    v = random_vector(rng, n)
+    ref = sphere_form_value(v)
+    return _worst(_rel(f_inner(m, v, v) - ref, ref)), n
 
 
 def _check_quadric_table(rng, trials):
@@ -322,89 +273,62 @@ def _check_quadric_table(rng, trials):
         0.0: (QuadricClass.CONE, CausalCharacter.NULL),
         -1.0: (QuadricClass.ONE_SHEET, CausalCharacter.TIMELIKE),
     }
-    worst = 0.0
-    for r2, (kind, char) in expected.items():
-        spec = QuadricSpec(r2)
-        if classify_quadric(spec) is not kind or radius_vector_character(spec) is not char:
-            worst = 1.0
-    return worst, len(expected)
+    specs = [QuadricSpec(r2) for r2 in expected]
+    got = {spec.r2: (classify_quadric(spec), radius_vector_character(spec)) for spec in specs}
+    return float(got != expected), len(expected)
 
 
 def _check_cone_circles(rng, trials):
     circle = cone_sphere_intersection()
-    worst = max(
+    x, y, z = np.transpose(basis_heads_primed())
+    return _worst(
         abs(circle.radius_sq - 2.0 / 3.0),
         abs(circle.z_planes[0] - 1.0 / np.sqrt(3.0)),
         abs(circle.z_planes[1] + 1.0 / np.sqrt(3.0)),
-    )
-    for head in basis_heads_primed():
-        x, y, z = head
-        worst = max(worst, abs(x * x + y * y - circle.radius_sq))
-        worst = max(worst, abs(z - circle.z_planes[0]))
-        worst = max(worst, abs(x * x + y * y - 2.0 * z * z))
-        worst = max(worst, abs(x * x + y * y + z * z - 1.0))
-    return worst, 3
+        np.abs(x * x + y * y - circle.radius_sq),
+        np.abs(z - circle.z_planes[0]),
+        np.abs(x * x + y * y - 2.0 * z * z),
+        np.abs(x * x + y * y + z * z - 1.0),
+    ), 3
 
 
 def _check_mesh_on_surface(rng, trials):
-    worst = 0.0
-    count = 0
+    worst, count = 0.0, 0
     levels = [0.0, 2.0, -1.0, float(rng.uniform(0.5, 9.0)), float(-rng.uniform(0.5, 9.0))]
     for r2 in levels:
-        verts = sample_quadric(QuadricSpec(r2), 8, 12)
-        count += len(verts)
-        x, y, z = verts[:, 0], verts[:, 1], verts[:, 2]
-        residual = np.abs(x * x + y * y - 2.0 * z * z + r2) / (1.0 + abs(r2))
-        worst = max(worst, float(np.max(residual)))
+        x, y, z = sample_quadric(QuadricSpec(r2), 8, 12).T
+        count += len(x)
+        worst = max(worst, _worst(np.abs(x * x + y * y - 2.0 * z * z + r2) / (1.0 + abs(r2))))
     return worst, count
 
 
-def _check_conic_coefficient_consistency(rng, trials):
-    worst = 0.0
-    for phi in _phi_grid(trials):
-        c = float(np.cos(phi))
-        f_uu, f_uw, f_ww = plane_f_values(c)
-        k = conic_coefficients(ConicSpec(c, 1.0))
-        worst = max(worst, _rel(f_uu - 2.0 * k.A, f_uu))
-        worst = max(worst, _rel(f_uw - k.B, f_uw))
-        worst = max(worst, _rel(f_ww - 2.0 * k.C, f_ww))
-    return worst, trials
+def _check_conic_coefficient_consistency(rng, n):
+    c = np.cos(_phi_grid(n))
+    f_uu, f_uw, f_ww = plane_f_values(c)
+    k = conic_coefficients(ConicSpec(c, 1.0))
+    residuals = _rel(f_uu - 2.0 * k.A, f_uu), _rel(f_uw - k.B, f_uw), _rel(f_ww - 2.0 * k.C, f_ww)
+    return _worst(*residuals), n
 
 
-def _check_conic_frame_realization(rng, trials):
-    worst = 0.0
-    for _ in range(trials):
-        m = random_metric(rng)
-        u = random_vector(rng)
-        c = cos_phi(m, u)
-        if not _well_conditioned(m) or c >= 1.0 - 1e-2 or c <= -0.5 + 1e-9:
-            continue
-        frame = companion_w(m, u)
-        f_uu, f_uw, f_ww = plane_f_values(float(np.cos(frame.phi)))
-        worst = max(worst, _rel(f_inner(m, frame.u, frame.u) - f_uu, f_uu))
-        worst = max(worst, _rel(f_inner(m, frame.u, frame.w) - f_uw, f_uw))
-        worst = max(worst, _rel(f_inner(m, frame.w, frame.w) - f_ww, f_ww))
-    return worst, trials
+def _check_conic_frame_realization(rng, n):
+    m, u = random_metric(rng, n), random_vector(rng, n)
+    c = cos_phi(m, u)
+    m, u = _subset(m, u, _well_conditioned(m) & (c < 1.0 - 1e-2) & (c > -0.5 + 1e-9))
+    frame = companion_w(m, u)
+    pairs = ((frame.u, frame.u), (frame.u, frame.w), (frame.w, frame.w))
+    refs = plane_f_values(np.cos(frame.phi))
+    return _worst(*(_rel(f_inner(m, x, y) - ref, ref) for (x, y), ref in zip(pairs, refs))), n
 
 
-def _check_discriminant_closed_form(rng, trials):
-    worst = 0.0
-    for phi in _phi_grid(trials):
-        c = float(np.cos(phi))
-        worst = max(worst, abs(discriminant(ConicSpec(c, 1.0)) - discriminant_closed_form(c)))
-    return worst, trials
+def _check_discriminant_closed_form(rng, n):
+    c = np.cos(_phi_grid(n))
+    return _worst(np.abs(discriminant(ConicSpec(c, 1.0)) - discriminant_closed_form(c))), n
 
 
-def _check_discriminant_sign_agreement(rng, trials):
-    worst = 0.0
-    for phi in _phi_grid(trials):
-        c = float(np.cos(phi))
-        if abs(1.0 + 3.0 * c) <= 1e-9:  # common zero of both forms
-            continue
-        computed = discriminant(ConicSpec(c, 1.0))
-        if np.sign(computed) != np.sign(discriminant_sign_form(c)):
-            worst = 1.0
-    return worst, trials
+def _check_discriminant_sign_agreement(rng, n):
+    c = np.cos(_phi_grid(n))
+    differ = np.sign(discriminant(ConicSpec(c, 1.0))) != np.sign(discriminant_sign_form(c))
+    return float(np.any(differ & (np.abs(1.0 + 3.0 * c) > 1e-9))), n  # off their common zero
 
 
 def _check_conic_table(rng, trials):
@@ -423,29 +347,48 @@ def _check_conic_table(rng, trials):
         (-0.5, 0.0): ConicClass.POINT,
         (-0.5, 1.0): ConicClass.NO_REAL_POINTS,
     }
-    worst = 0.0
-    for (c, r2), kind in cases.items():
-        if classify_conic(ConicSpec(c, r2)).kind is not kind:
-            worst = 1.0
-    return worst, len(cases)
+    got = {(c, r2): classify_conic(ConicSpec(c, r2)).kind for c, r2 in cases}
+    return float(got != cases), len(cases)
 
 
 def _check_degenerate_expansion(rng, trials):
-    worst = 0.0
-    for r2 in (1.0, 0.0, -1.0):
-        worst = max(worst, degenerate_expansion_check(ConicSpec(-1.0 / 3.0, r2)))
+    worst = max(degenerate_expansion_check(ConicSpec(-1.0 / 3.0, r2)) for r2 in (1.0, 0.0, -1.0))
     return worst, 3 * 121
 
 
 def _check_circle_realization(rng, trials):
-    spec = ConicSpec(-0.5, -1.0)
-    k = conic_coefficients(spec)
-    worst = 0.0
+    k = conic_coefficients(ConicSpec(-0.5, -1.0))
     n = max(trials, 16)
-    for t in np.linspace(0.0, 2.0 * np.pi, n, endpoint=False):
-        x, y = np.cos(t), np.sin(t)
-        worst = max(worst, abs(k.A * x * x + k.B * x * y + k.C * y * y - k.rhs))
-    return worst, n
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    x, y = np.cos(t), np.sin(t)
+    return _worst(np.abs(k.A * x * x + k.B * x * y + k.C * y * y - k.rhs)), n
+
+
+def _check_classify_many_vs_dense(rng, n):
+    m, u = random_metric(rng, n), random_vector(rng, n)
+    cos, code, f_uu = classify_many(m, u)
+    qu = np.roll(u, -1, axis=-1)
+    ref_f = dense_g_inner(m, u, qu) + dense_g_inner(m, qu, u)
+    ref_cos = ref_f / (2.0 * dense_g_inner(m, u, u))
+    # The code must be the reference's wherever the reference is clear of the
+    # null band's edge by more than the cosine's own rounding.
+    eps = DEFAULT_TOLERANCES.eps_null
+    expected = np.where(np.abs(ref_cos) <= eps, _NULL, np.where(ref_cos > 0.0, 0, 2))
+    wrong = (code != expected) & (np.abs(np.abs(ref_cos) - eps) > 1e-12)
+    return _worst(np.abs(cos - ref_cos), _rel(f_uu - ref_f, ref_f), float(np.any(wrong))), n
+
+
+def _check_scale_invariance(rng, n):
+    m, u = random_metric(rng, n), random_vector(rng, n)
+    k = rng.integers(-1000, 1000, size=(n, 1), endpoint=True)
+    scaled = np.ldexp(u, k)
+    # scaled is exactly 2^k times this u even where a component of 2^k u
+    # fell below the normal range and lost bits.
+    u = np.ldexp(scaled, -k)
+    same = (cos_phi(m, scaled).view(np.uint64) == cos_phi(m, u).view(np.uint64)) & (
+        classify_many(m, scaled)[1] == classify_many(m, u)[1]
+    )
+    return float(not same.all()), n
 
 
 # Fixed execution order; names, tolerances and checks stay in lockstep.
@@ -478,6 +421,8 @@ _SUITE: list[tuple[str, float, Check]] = [
     ("conic_class_table", 0.0, _check_conic_table),
     ("degenerate_expansion", 1e-12, _check_degenerate_expansion),
     ("circle_realization", 1e-12, _check_circle_realization),
+    ("classify_many_vs_dense", 1e-12, _check_classify_many_vs_dense),
+    ("scale_invariance", 0.0, _check_scale_invariance),
 ]
 
 SUITE_NAMES = tuple(name for name, _, _ in _SUITE)

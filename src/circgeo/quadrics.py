@@ -22,6 +22,7 @@ from .core import (
     CausalCharacter,
     GeometryError,
     ToleranceConfig,
+    _scalar,
     as_vector,
     fmt_float,
 )
@@ -85,31 +86,34 @@ class CircleIntersection:
     z_planes: tuple[float, float]
 
 
-def sphere_form_value(v) -> float:
-    """Value 2(xy + xz + yz) of the form in orthonormal shift-basis coordinates."""
-    x, y, z = as_vector(v)
-    return 2.0 * (x * y + x * z + y * z)
+def sphere_form_value(v) -> float | np.ndarray:
+    """Value 2(xy + xz + yz) of the form in orthonormal shift-basis coordinates.
+
+    This and the coordinate maps below broadcast over stacks of vectors.
+    """
+    x, y, z = np.moveaxis(as_vector(v), -1, 0)
+    return _scalar(2.0 * (x * y + x * z + y * z))
 
 
 def to_primed(v) -> np.ndarray:
     """Starting coordinates to rotated (primed) coordinates."""
-    return ROTATION.T @ as_vector(v)
+    return as_vector(v) @ ROTATION
 
 
 def from_primed(vp) -> np.ndarray:
     """Rotated (primed) coordinates back to starting coordinates."""
-    return ROTATION @ as_vector(vp)
+    return as_vector(vp) @ ROTATION.T
 
 
-def primed_form_value(vp) -> float:
+def primed_form_value(vp) -> float | np.ndarray:
     """The same form evaluated in primed coordinates: -(x'^2 + y'^2 - 2 z'^2).
 
     The sign keeps primed_form_value(to_primed(v)) == sphere_form_value(v);
     the usual surface equation is recovered by negating both sides of
     value = r2.
     """
-    x, y, z = as_vector(vp)
-    return -(x * x + y * y - 2.0 * z * z)
+    x, y, z = np.moveaxis(as_vector(vp), -1, 0)
+    return _scalar(-(x * x + y * y - 2.0 * z * z))
 
 
 def classify_quadric(

@@ -148,6 +148,18 @@ def test_batch_bad_row_names_line(tmp_path):
     assert "line 3" in result.stderr
 
 
+def test_batch_invalid_utf8_names_line(tmp_path):
+    # A text reader decodes ahead in chunks, so the bad byte used to fail the
+    # header read with a traceback instead of naming its line.
+    csv = tmp_path / "latin1.csv"
+    csv.write_bytes(b"x,y,z\n1,2,3\n4,5,6\xff\n7,8,9\n")
+    result = run_cli(
+        "classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(csv) + ".out"
+    )
+    assert result.returncode == 2
+    assert result.stderr == "error: line 3: not valid UTF-8\n"
+
+
 def test_batch_golden_report(tmp_path):
     # The report of this corpus (uniform, near-null, zero and mixed-magnitude
     # rows) was captured from the row-by-row implementation that preceded the

@@ -41,6 +41,15 @@ def test_plane_f_values_frozen():
     assert (f_uu, f_uw, f_ww) == (-1.0, 0.0, -1.0)
 
 
+def test_plane_f_values_broadcast():
+    c = np.cos(phi_grid(50))
+    stacked = plane_f_values(c)
+    for i, ci in enumerate(c):
+        assert tuple(x[i] for x in stacked) == plane_f_values(float(ci))
+    with pytest.raises(AngleDomainError):
+        plane_f_values(np.array([0.0, -0.6]))
+
+
 def test_plane_f_values_domain():
     with pytest.raises(AngleDomainError):
         plane_f_values(1.0)  # angle below the guard

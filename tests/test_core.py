@@ -253,6 +253,56 @@ def test_character_preserved_by_shift():
         assert causal_character(m, q_apply(qu)) is char
 
 
+# ---------------------------------------------------------------- broadcasting
+
+
+def test_stacked_metric_validated_elementwise():
+    m = CirculantMetric([1.0, 2.0], 0.5)
+    assert m.a.tolist() == [1.0, 2.0] and m.b.tolist() == [0.5, 0.5]
+    assert type(CirculantMetric(2, 1).a) is float
+    with pytest.raises(InvalidMetricError, match=r"circ\(1.0, 1.0, 1.0\)"):
+        CirculantMetric([2.0, 1.0], [0.5, 1.0])
+    with pytest.raises(InvalidMetricError):
+        CirculantMetric([1.0, math.nan], 0.0)
+
+
+def test_broadcast_api_matches_one_vector_calls():
+    rng = np.random.default_rng(53)
+    m = random_metric(rng, 40)
+    u, v = random_vector(rng, 40), random_vector(rng, 40)
+    stacked = (g_inner(m, u, v), g_norm(m, u), cos_phi(m, u), f_inner(m, u, v))
+    assert all(x.shape == (40,) for x in stacked)
+    for i in range(40):
+        one = CirculantMetric(m.a[i], m.b[i])
+        single = (
+            g_inner(one, u[i], v[i]), g_norm(one, u[i]), cos_phi(one, u[i]), f_inner(one, u[i], v[i])
+        )
+        assert all(type(x) is float for x in single)
+        assert bits([x[i] for x in stacked]).tolist() == bits(single).tolist()
+    # A (2, 40, 3) stack broadcasts against the 40 metrics, and one vector against all of them.
+    pair = np.stack([u, v])
+    assert np.array_equal(bits(cos_phi(m, pair)), bits([cos_phi(m, u), cos_phi(m, v)]))
+    one_by_one = [g_inner(CirculantMetric(a, b), u[0], v[0]) for a, b in zip(m.a, m.b)]
+    assert np.array_equal(bits(g_inner(m, u[0], v[0])), bits(one_by_one))
+    assert np.array_equal(q_apply(pair), pair[..., [1, 2, 0]])
+
+
+def test_broadcast_api_rejects_any_bad_row():
+    m = CirculantMetric(1.0, 0.0)
+    with pytest.raises(ZeroVectorError):
+        cos_phi(m, [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(GeometryError):
+        g_inner(m, [[1.0, 2.0, 3.0], [math.inf, 0.0, 0.0]], [1.0, 0.0, 0.0])
+    with pytest.raises(InvariantViolation):
+        clamp_cos([0.5, 1.5])
+    assert clamp_cos(np.array([1.0 + 5e-10, -0.5 - 5e-10, 0.25])).tolist() == [1.0, -0.5, 0.25]
+    for one_vector_only in (causal_character, phi_angle):
+        with pytest.raises(GeometryError):
+            one_vector_only(m, [[1.0, 2.0, 3.0]])
+        with pytest.raises(GeometryError):
+            one_vector_only(CirculantMetric([1.0, 2.0], 0.0), [1.0, 2.0, 3.0])
+
+
 # ---------------------------------------------------------------- batch kernel
 
 
@@ -343,6 +393,25 @@ def test_classify_many_extreme_magnitudes(u, character):
     assert abs(cos[0] - ref) <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "u, cos, character, f_uu",
+    [
+        ([1e200, 1e200, 1e200], 1.0, CausalCharacter.SPACELIKE, math.inf),
+        ([1e155, -2e155, 5e154], -0.4531250000000001, CausalCharacter.TIMELIKE, -math.inf),
+        ([1e-200, 1e-200, 1e-200], 1.0, CausalCharacter.SPACELIKE, 0.0),
+    ],
+)
+def test_scalar_api_extreme_magnitudes(u, cos, character, f_uu):
+    # The scalar API scales like classify_many: these read nan, null or a
+    # zero vector when products of the components overflowed or underflowed.
+    m = CirculantMetric(2.0, 0.5)
+    assert cos_phi(m, u) == cos
+    assert causal_character(m, u) is character
+    assert f_inner(m, u, u) == f_uu
+    batch_cos, code, batch_f = classify_many(m, [u])
+    assert (batch_cos[0], CHARACTER_BY_CODE[code[0]], batch_f[0]) == (cos, character, f_uu)
+
+
 _component = st.one_of(st.just(0.0), st.floats(2.0**-20, 2.0**20)).flatmap(
     lambda v: st.sampled_from([v, -v])
 )
@@ -359,12 +428,20 @@ def test_classify_many_scale_invariant(rows, k, j, b_percent):
     # Magnitudes in [2^-20, 2^20] keep 2^k * u exact for |k| <= 1000, and
     # |b| >= 1/100 keeps the metric 2^j * circ(1, b, b) exact.
     b = b_percent / 100.0
+    m = CirculantMetric(1.0, b)
     u = np.array(rows)
-    cos, code, _ = classify_many(CirculantMetric(1.0, b), u)
+    cos, code, _ = classify_many(m, u)
     scaled = CirculantMetric(math.ldexp(1.0, j), math.ldexp(b, j))
     cos_k, code_k, _ = classify_many(scaled, np.ldexp(u, k))
     assert np.array_equal(code_k, code)
     assert np.array_equal(bits(cos_k), bits(cos))
+    # The scalar API gives the same answers, on the stack and row by row.
+    nonzero = u[code != CODE_ZERO_VECTOR]
+    if len(nonzero):
+        assert np.array_equal(bits(cos_phi(scaled, np.ldexp(nonzero, k))), bits(cos_phi(m, nonzero)))
+    for row in nonzero:
+        assert bits(cos_phi(scaled, np.ldexp(row, k))) == bits(cos_phi(m, row))
+        assert causal_character(scaled, np.ldexp(row, k)) is causal_character(m, row)
 
 
 def test_classify_many_extreme_metric():

@@ -123,3 +123,22 @@ def test_companion_scale_invariant():
         w1 = companion_w(m, u).w
         w2 = companion_w(m, 3.7 * u).w
         assert np.max(np.abs(w1 - w2)) <= 1e-12 * (1.0 + np.max(np.abs(w1)))
+
+
+def test_stacked_metrics_and_vectors_match_one_at_a_time():
+    rng = np.random.default_rng(19)
+    m = random_metric(rng, 30)
+    u = random_vector(rng, 30)
+    basis = orthonormal_q_basis(m)
+    gram = gram_matrix(m, basis.vectors())
+    assert gram.shape == (30, 3, 3)
+    keep = cos_phi(m, u) < 1.0 - 1e-2
+    frame = companion_w(CirculantMetric(m.a[keep], m.b[keep]), u[keep])
+    for i, j in zip(np.flatnonzero(keep), range(len(frame.phi))):
+        one = CirculantMetric(m.a[i], m.b[i])
+        single = orthonormal_q_basis(one)
+        assert np.array_equal(basis.u[i], single.u) and np.array_equal(basis.q2u[i], single.q2u)
+        assert np.array_equal(gram[i], gram_matrix(one, single.vectors()))
+        framed = companion_w(one, u[i])
+        assert np.array_equal(frame.u[j], framed.u) and np.array_equal(frame.w[j], framed.w)
+        assert frame.phi[j] == framed.phi

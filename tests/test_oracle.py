@@ -76,3 +76,45 @@ def test_run_suite_deterministic():
 def test_run_suite_rejects_bad_trials():
     with pytest.raises(GeometryError):
         run_suite(seed=1, trials=0)
+
+
+# (name, tolerance, trials count) of the original 28 families at --trials 1000;
+# the counts are what `verify` adds up as items checked.
+PINNED_FAMILIES = [
+    ("shift_cubed_identity", 0.0, 1000),
+    ("isometry", 1e-12, 1000),
+    ("f_diagonal_identity", 1e-12, 1000),
+    ("f_shifted_pair_identity", 1e-12, 1000),
+    ("f_symmetric", 1e-12, 1000),
+    ("f_shift_invariant", 1e-12, 1000),
+    ("cos_phi_range", 1e-12, 1000),
+    ("f_equals_2norm2_cos", 1e-12, 1000),
+    ("character_shift_invariant", 0.0, 1000),
+    ("g_inner_vs_dense_oracle", 1e-13, 1000),
+    ("qbasis_gram_identity", 1e-10, 1000),
+    ("qbasis_vectors_null", 1e-10, 1000),
+    ("companion_orthonormal", 1e-12, 1000),
+    ("companion_scale_invariant", 1e-12, 1000),
+    ("rotation_orthogonal", 1e-15, 1),
+    ("rotation_congruence", 1e-14, 1),
+    ("form_transport", 1e-12, 1000),
+    ("identity_metric_consistency", 1e-12, 1000),
+    ("quadric_class_table", 0.0, 3),
+    ("cone_sphere_circles", 1e-12, 3),
+    ("mesh_on_surface", 1e-09, 768),
+    ("conic_coefficient_consistency", 1e-12, 1000),
+    ("conic_frame_realization", 1e-12, 1000),
+    ("discriminant_closed_form", 1e-10, 1000),
+    ("discriminant_sign_vs_alt_form", 0.0, 1000),
+    ("conic_class_table", 0.0, 12),
+    ("degenerate_expansion", 1e-12, 363),
+    ("circle_realization", 1e-12, 1000),
+]
+
+
+def test_run_suite_keeps_every_family_tolerance_and_count():
+    reports = run_suite(seed=42, trials=1000)
+    assert [(r.name, r.tolerance, r.trials) for r in reports[: len(PINNED_FAMILIES)]] == PINNED_FAMILIES
+    # Families added later are no looser than the tightest random family.
+    for r in reports[len(PINNED_FAMILIES) :]:
+        assert r.tolerance <= 1e-12 and r.trials == 1000 and r.passed

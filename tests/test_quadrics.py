@@ -79,6 +79,17 @@ def test_form_transport():
         assert abs(primed_form_value(to_primed(v)) - value) <= 1e-12 * (1.0 + abs(value))
 
 
+def test_form_values_broadcast():
+    v = random_vector(np.random.default_rng(31), 20)
+    primed = to_primed(v)
+    assert primed.shape == (20, 3)
+    assert np.max(np.abs(from_primed(primed) - v)) <= 1e-14
+    for i in range(20):
+        assert np.max(np.abs(primed[i] - to_primed(v[i]))) == 0.0
+        assert sphere_form_value(v)[i] == sphere_form_value(v[i])
+        assert primed_form_value(primed)[i] == primed_form_value(primed[i])
+
+
 @pytest.mark.parametrize(
     "r2,kind,character,equation",
     [
