@@ -18,11 +18,11 @@ from .core import (
     CHARACTER_BY_CODE,
     CODE_NON_FINITE,
     CODE_ZERO_VECTOR,
-    DEFAULT_TOLERANCES,
+    EPS_ANGLE,
+    EPS_NULL,
     CirculantMetric,
     GeometryError,
     InvariantViolation,
-    ToleranceConfig,
     ZeroVectorError,
     clamp_cos,
     classify_many,
@@ -78,22 +78,27 @@ def _vector_line(label: str, v: np.ndarray) -> str:
 
 # Report names of classify_many's character codes.
 _CHARACTER_NAMES = [c.value for c in CHARACTER_BY_CODE] + ["error:zero-vector", "error:non-finite"]
-# Rows a batch report converts to Python floats at a time, so peak memory
+# Rows a report or mesh converts to Python floats at a time, so peak memory
 # does not grow by the Python objects of every row at once.
 _REPORT_BLOCK = 4096
+
+
+def _python_rows(*columns):
+    """zip(*columns) over Python numbers, converted _REPORT_BLOCK rows at a time."""
+    for start in range(0, len(columns[0]), _REPORT_BLOCK):
+        yield from zip(*(column[start : start + _REPORT_BLOCK].tolist() for column in columns))
 
 
 def _cmd_classify(args) -> int:
     metric = _parse_metric(args.metric)
     vector = _parse_vector(args.vector)
-    tol = DEFAULT_TOLERANCES if args.eps is None else ToleranceConfig(eps_null=args.eps)
-    cos, code, f_uu = classify_many(metric, vector[None, :], tol)
+    cos, code, f_uu = classify_many(metric, vector[None, :], args.eps)
     if code[0] == CODE_NON_FINITE:
         raise GeometryError("vector components must be finite")
     if code[0] == CODE_ZERO_VECTOR:
         raise ZeroVectorError("causal character is undefined for the zero vector")
     c = float(cos[0])
-    phi = math.acos(clamp_cos(c, tol))
+    phi = math.acos(clamp_cos(c))
     print(
         f"character={_CHARACTER_NAMES[code[0]]} cos_phi={fmt_float(c)} "
         f"phi_rad={fmt_float(phi)} f_uu={fmt_float(f_uu[0])}"
@@ -132,26 +137,20 @@ def _read_batch_rows(path: str) -> np.ndarray:
 
 def _cmd_classify_batch(args) -> int:
     metric = _parse_metric(args.metric)
-    tol = DEFAULT_TOLERANCES
     rows = _read_batch_rows(args.input)
-    cos, code, _ = classify_many(metric, rows, tol)
+    cos, code, _ = classify_many(metric, rows)
     # classify_many has range-checked every cosine; nan rows stay nan.
     clamped = np.clip(cos, -0.5, 1.0)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"metric a={fmt_float(metric.a)} b={fmt_float(metric.b)}\n")
-        fh.write(
-            f"tolerance eps_null={fmt_float(tol.eps_null)} eps_angle={fmt_float(tol.eps_angle)}\n"
-        )
+        fh.write(f"tolerance eps_null={fmt_float(EPS_NULL)} eps_angle={fmt_float(EPS_ANGLE)}\n")
         fh.write(f"rows n={len(rows)}\n")
-        for start in range(0, len(rows), _REPORT_BLOCK):
-            block = slice(start, start + _REPORT_BLOCK)
-            lines = zip(rows[block].tolist(), cos[block].tolist(), clamped[block].tolist(), code[block].tolist())
-            for index, ((x, y, z), c, clamp, k) in enumerate(lines, start):
-                fh.write(
-                    f"row index={index} x={fmt_float(x)} y={fmt_float(y)} z={fmt_float(z)} "
-                    f"cos_phi={fmt_float(c)} phi_rad={fmt_float(math.acos(clamp))} "
-                    f"character={_CHARACTER_NAMES[k]}\n"
-                )
+        for index, (x, y, z, c, clamp, k) in enumerate(_python_rows(*rows.T, cos, clamped, code)):
+            fh.write(
+                f"row index={index} x={fmt_float(x)} y={fmt_float(y)} z={fmt_float(z)} "
+                f"cos_phi={fmt_float(c)} phi_rad={fmt_float(math.acos(clamp))} "
+                f"character={_CHARACTER_NAMES[k]}\n"
+            )
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
@@ -169,14 +168,15 @@ def _cmd_qbasis(args) -> int:
 
 def _cmd_quadric(args) -> int:
     spec = QuadricSpec(args.r2)
+    # The mesh is sampled first, so a bad --samples or --t-max prints nothing.
+    if args.mesh is not None:
+        vertices = sample_quadric(spec, *_parse_samples(args.samples), extent=args.t_max)
     print(f"class={classify_quadric(spec).value}")
     print(f"equation={quadric_equation(spec)}")
     print(f"character={radius_vector_character(spec).value}")
     if args.mesh is not None:
-        n_s, n_theta = _parse_samples(args.samples)
-        vertices = sample_quadric(spec, n_s, n_theta, extent=args.t_max)
         with open(args.mesh, "w", encoding="utf-8", newline="\n") as fh:
-            for x, y, z in vertices:
+            for x, y, z in _python_rows(*vertices.T):
                 fh.write(f"v {fmt_float(x)} {fmt_float(y)} {fmt_float(z)}\n")
     return 0
 
@@ -233,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="causal character of one vector")
     p.add_argument("--metric", required=True, help="metric coefficients 'A,B'")
     p.add_argument("--vector", required=True, help="vector components 'X,Y,Z'")
-    p.add_argument("--eps", type=float, default=None, help="null-band tolerance override")
+    p.add_argument("--eps", type=float, default=EPS_NULL, help="null-band tolerance override")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("classify-batch", help="classify a CSV of vectors into a report file")

@@ -16,14 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOLERANCES,
-    AngleDomainError,
-    GeometryError,
-    ToleranceConfig,
-    _scalar,
-    fmt_float,
-)
+from .core import EPS_ANGLE, EPS_NULL, AngleDomainError, GeometryError, _scalar, fmt_float
 
 __all__ = [
     "PHI_MIN",
@@ -206,13 +199,11 @@ def _line_pair_equation(k: ConicCoefficients, disc: float) -> str:
     return f"y = {fmt_float(m1)}*x ; y = {fmt_float(m2)}*x"
 
 
-def classify_conic(
-    spec: ConicSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> ConicClassification:
+def classify_conic(spec: ConicSpec) -> ConicClassification:
     """Full classification over the (cos phi, r2) decision table.
 
     Branches, with c = cos phi, D = B^2 - 4AC, and r2 ~ 0 meaning
-    |r2| <= eps_null (angle boundaries tested in cos-space with eps_angle):
+    |r2| <= EPS_NULL (angle boundaries tested in cos-space with EPS_ANGLE):
 
     * c ~ -1/2 (phi = 2*pi/3): x^2 + y^2 = -r2. Circle of radius sqrt(-r2)
       for r2 < 0, single point for r2 ~ 0, empty for r2 > 0.
@@ -228,9 +219,9 @@ def classify_conic(
     c = spec.cos_phi
     r2 = spec.r2
     k = conic_coefficients(spec)
-    near_zero_r2 = abs(r2) <= tol.eps_null
+    near_zero_r2 = abs(r2) <= EPS_NULL
 
-    if abs(c + 0.5) <= tol.eps_angle:
+    if abs(c + 0.5) <= EPS_ANGLE:
         equation = f"x^2+y^2 = {fmt_float(-r2)}"
         if near_zero_r2:
             return ConicClassification(ConicClass.POINT, equation, extension=False)
@@ -240,7 +231,7 @@ def classify_conic(
             )
         return ConicClassification(ConicClass.NO_REAL_POINTS, equation, extension=False)
 
-    if abs(c + 1.0 / 3.0) <= tol.eps_angle:
+    if abs(c + 1.0 / 3.0) <= EPS_ANGLE:
         if near_zero_r2:
             return ConicClassification(
                 ConicClass.SINGLE_LINE, f"y = {fmt_float(_SQRT2)}*x", extension=False
@@ -264,7 +255,7 @@ def classify_conic(
             return ConicClassification(
                 ConicClass.INTERSECTING_LINES, _line_pair_equation(k, disc), extension=True
             )
-        if abs(c) <= tol.eps_angle:
+        if abs(c) <= EPS_ANGLE:
             equation = f"xy = {fmt_float(spec.r2 / 2.0)}"
         else:
             equation = _general_equation(k)
@@ -277,18 +268,14 @@ def classify_conic(
     return ConicClassification(ConicClass.NO_REAL_POINTS, _general_equation(k), extension=True)
 
 
-def degenerate_expansion_check(
-    spec: ConicSpec,
-    points=None,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> float:
+def degenerate_expansion_check(spec: ConicSpec, points=None) -> float:
     """Max residual of the identity -6 (lhs - rhs) == (sqrt(2) x - y)^2 + 3 r2.
 
     Only meaningful at the degenerate angle cos phi = -1/3, where the plane
     equation collapses to a perfect square; anywhere else the identity is
     false and the call is rejected. Defaults to an 11 x 11 grid on [-2, 2]^2.
     """
-    if abs(spec.cos_phi + 1.0 / 3.0) > tol.eps_angle:
+    if abs(spec.cos_phi + 1.0 / 3.0) > EPS_ANGLE:
         raise AngleDomainError(
             f"expansion identity holds only at cos(phi) = -1/3, got {spec.cos_phi!r}"
         )

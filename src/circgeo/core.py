@@ -30,8 +30,8 @@ __all__ = [
     "InvariantViolation",
     "CausalCharacter",
     "CirculantMetric",
-    "ToleranceConfig",
-    "DEFAULT_TOLERANCES",
+    "EPS_NULL",
+    "EPS_ANGLE",
     "as_vector",
     "fmt_float",
     "q_apply",
@@ -85,21 +85,10 @@ class CausalCharacter(Enum):
     TIMELIKE = "timelike"
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical bands: eps_null for sign/null tests, eps_angle for angle boundaries."""
-
-    eps_null: float = 1e-9
-    eps_angle: float = 1e-9
-
-    def __post_init__(self):
-        for name in ("eps_null", "eps_angle"):
-            val = getattr(self, name)
-            if not (0.0 < val < 1e-3):
-                raise GeometryError(f"{name} must lie in (0, 1e-3), got {val!r}")
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+# Numerical bands: EPS_NULL for sign and null tests, EPS_ANGLE for angle
+# boundaries, which are compared in cosine space.
+EPS_NULL = 1e-9
+EPS_ANGLE = 1e-9
 
 # The cyclic shift (x, y, z) -> (y, z, x) as an index along the last axis.
 _Q = [1, 2, 0]
@@ -218,21 +207,21 @@ def cos_phi(m: CirculantMetric, u) -> float | np.ndarray:
     The value lies in [-1/2, 1] up to rounding for every valid metric, and it
     does not depend on the scale of u or of the metric.
     """
-    cos = _classify(m, as_vector(u), DEFAULT_TOLERANCES)[0]
+    cos = _classify(m, as_vector(u), EPS_NULL)[0]
     if np.isnan(cos).any():
         raise ZeroVectorError("cos_phi is undefined for the zero vector")
     return _scalar(cos)
 
 
-def clamp_cos(c, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float | np.ndarray:
+def clamp_cos(c) -> float | np.ndarray:
     """Clamp shift-angle cosines into [-1/2, 1] before any arccos.
 
-    Values outside the interval by more than eps_angle are not rounding noise
+    Values outside the interval by more than EPS_ANGLE are not rounding noise
     and indicate a broken caller, so they raise instead of clamping silently.
     NaN lies in no interval and raises too.
     """
     c = np.asarray(c, dtype=float)
-    in_range = (c >= -0.5 - tol.eps_angle) & (c <= 1.0 + tol.eps_angle)
+    in_range = (c >= -0.5 - EPS_ANGLE) & (c <= 1.0 + EPS_ANGLE)
     if not in_range.all():
         bad = float(c[~in_range].flat[0])
         raise InvariantViolation(
@@ -248,9 +237,9 @@ def _one_vector(m: CirculantMetric, u) -> np.ndarray:
     return v
 
 
-def phi_angle(m: CirculantMetric, u, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def phi_angle(m: CirculantMetric, u) -> float:
     """Angle between u and its shift, in radians, in [0, 2*pi/3]."""
-    return math.acos(clamp_cos(cos_phi(m, _one_vector(m, u)), tol))
+    return math.acos(clamp_cos(cos_phi(m, _one_vector(m, u))))
 
 
 def f_inner(m: CirculantMetric, u, v) -> float | np.ndarray:
@@ -272,7 +261,7 @@ CODE_ZERO_VECTOR = 3
 CODE_NON_FINITE = 4
 
 
-def _classify(m: CirculantMetric, x: np.ndarray, tol: ToleranceConfig):
+def _classify(m: CirculantMetric, x: np.ndarray, eps_null: float):
     """(cos_phi, code, f_uu / 2^exponent, exponent) of finite vectors.
 
     code is CODE_ZERO_VECTOR on zero vectors, where cos_phi is nan. Null when
@@ -288,45 +277,45 @@ def _classify(m: CirculantMetric, x: np.ndarray, tol: ToleranceConfig):
     f_uu = g_uqu + _form(metric, qu, u)
     zero = norm_sq == 0.0
     code = np.where(f_uu > 0.0, 0, 2).astype(np.int8)
-    code[np.abs(f_uu) <= tol.eps_null * 2.0 * norm_sq] = 1
+    code[np.abs(f_uu) <= eps_null * 2.0 * norm_sq] = 1
     code[zero] = CODE_ZERO_VECTOR
     return g_uqu / np.where(zero, np.nan, norm_sq), code, f_uu, 2 * exponent + metric[2]
 
 
-def causal_character(
-    m: CirculantMetric, u, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> CausalCharacter:
+def causal_character(m: CirculantMetric, u) -> CausalCharacter:
     """Classify a nonzero vector by the sign of f(u, u), as classify_many does.
 
     The null band is relative, so the result depends on neither the scale of
     u nor that of the metric. The shift preserves the result.
     """
-    code = _classify(m, _one_vector(m, u), tol)[1]
+    code = _classify(m, _one_vector(m, u), EPS_NULL)[1]
     if code == CODE_ZERO_VECTOR:
         raise ZeroVectorError("causal character is undefined for the zero vector")
     return CHARACTER_BY_CODE[code]
 
 
 def classify_many(
-    m: CirculantMetric, rows, tol: ToleranceConfig = DEFAULT_TOLERANCES
+    m: CirculantMetric, rows, eps_null: float = EPS_NULL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classify every row of an (N, 3) array: (cos_phi, code, f_uu), each of length N.
 
     code indexes CHARACTER_BY_CODE, or is CODE_ZERO_VECTOR or CODE_NON_FINITE
     for rows that have no character; cos_phi and f_uu are nan on those rows.
     The code and cos_phi are those of causal_character and cos_phi, and f_uu
-    that of f_inner. The metric may be a stack of N metrics. Raises
-    InvariantViolation if a cosine lies outside [-1/2, 1] by more than
-    eps_angle, as clamp_cos does.
+    that of f_inner. The metric may be a stack of N metrics. eps_null, the
+    null band, must lie in (0, 1e-3). Raises InvariantViolation if a cosine
+    lies outside [-1/2, 1] by more than EPS_ANGLE, as clamp_cos does.
     """
+    if not 0.0 < eps_null < 1e-3:
+        raise GeometryError(f"eps_null must lie in (0, 1e-3), got {eps_null!r}")
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3:
         raise GeometryError(f"expected an (N, 3) array of vectors, got shape {x.shape}")
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         x = np.where(finite[:, None], x, 0.0)
-    cos, code, f_uu, exponent = _classify(m, x, tol)
+    cos, code, f_uu, exponent = _classify(m, x, eps_null)
     valid = finite & (code != CODE_ZERO_VECTOR)
-    clamp_cos(cos[valid], tol)
+    clamp_cos(cos[valid])
     code[~finite] = CODE_NON_FINITE
     return np.where(valid, cos, np.nan), code, np.where(valid, _ldexp(f_uu, exponent), np.nan)

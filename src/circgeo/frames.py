@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
+    EPS_ANGLE,
     CirculantMetric,
     DegenerateAngleError,
     InvalidMetricError,
-    ToleranceConfig,
     ZeroVectorError,
     _scalar,
     as_vector,
@@ -58,14 +57,14 @@ class PlaneFrame:
     phi: float | np.ndarray
 
 
-def is_q_basis(m: CirculantMetric, u, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+def is_q_basis(m: CirculantMetric, u) -> bool:
     """True when {u, qu, q2u} is a basis, i.e. the shift angle is strictly interior.
 
-    Boundary cases (cos within eps_angle of 1 or -1/2) are rejected: there the
+    Boundary cases (cos within EPS_ANGLE of 1 or -1/2) are rejected: there the
     three vectors are linearly dependent.
     """
     c = cos_phi(m, u)
-    return -0.5 + tol.eps_angle < c < 1.0 - tol.eps_angle
+    return -0.5 + EPS_ANGLE < c < 1.0 - EPS_ANGLE
 
 
 def orthonormal_q_basis(m: CirculantMetric) -> QBasis:
@@ -88,14 +87,12 @@ def orthonormal_q_basis(m: CirculantMetric) -> QBasis:
     return QBasis(u=u, qu=qu, q2u=q_apply(qu))
 
 
-def companion_w(
-    m: CirculantMetric, u, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> PlaneFrame:
+def companion_w(m: CirculantMetric, u) -> PlaneFrame:
     """g-unit vector w in span{u, qu} with g(u, w) = 0, plus the shift angle.
 
     w = (qu - u cos phi) / sin phi for the g-normalized u. The input is
     normalized internally, so the result depends only on the direction of u.
-    Fails when u and qu are parallel (cos phi within eps_angle of 1): the
+    Fails when u and qu are parallel (cos phi within EPS_ANGLE of 1): the
     plane degenerates and sin phi vanishes. Broadcasts over stacks of vectors
     and metrics; phi is then an array too.
     """
@@ -104,8 +101,8 @@ def companion_w(
     if np.any(norm == 0.0):
         raise ZeroVectorError("companion vector is undefined for the zero vector")
     v = v / np.expand_dims(norm, -1)
-    c = clamp_cos(cos_phi(m, v), tol)
-    if np.any(c >= 1.0 - tol.eps_angle):
+    c = clamp_cos(cos_phi(m, v))
+    if np.any(c >= 1.0 - EPS_ANGLE):
         raise DegenerateAngleError(
             "u and its shift are parallel (shift angle ~ 0); no 2-plane to frame"
         )

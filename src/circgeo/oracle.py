@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (
     CHARACTER_BY_CODE,
-    DEFAULT_TOLERANCES,
+    EPS_NULL,
     CausalCharacter,
     CirculantMetric,
     GeometryError,
@@ -209,7 +209,9 @@ def _check_character_shift_invariant(rng, n):
 def _check_dense_inner(rng, n):
     m, u, v = random_metric(rng, n), random_vector(rng, n), random_vector(rng, n)
     ref = dense_g_inner(m, u, v)
-    return _worst(_rel(g_inner(m, u, v) - ref, ref)), n
+    # Both sums round in proportion to the terms that cancel, not to g itself.
+    terms = dense_g_inner(CirculantMetric(m.a, np.abs(m.b)), np.abs(u), np.abs(v))
+    return _worst(_rel(g_inner(m, u, v) - ref, terms)), n
 
 
 def _check_qbasis_gram(rng, n):
@@ -372,9 +374,8 @@ def _check_classify_many_vs_dense(rng, n):
     ref_cos = ref_f / (2.0 * dense_g_inner(m, u, u))
     # The code must be the reference's wherever the reference is clear of the
     # null band's edge by more than the cosine's own rounding.
-    eps = DEFAULT_TOLERANCES.eps_null
-    expected = np.where(np.abs(ref_cos) <= eps, _NULL, np.where(ref_cos > 0.0, 0, 2))
-    wrong = (code != expected) & (np.abs(np.abs(ref_cos) - eps) > 1e-12)
+    expected = np.where(np.abs(ref_cos) <= EPS_NULL, _NULL, np.where(ref_cos > 0.0, 0, 2))
+    wrong = (code != expected) & (np.abs(np.abs(ref_cos) - EPS_NULL) > 1e-12)
     return _worst(np.abs(cos - ref_cos), _rel(f_uu - ref_f, ref_f), float(np.any(wrong))), n
 
 
@@ -438,6 +439,8 @@ def run_suite(seed: int, trials: int) -> list[OracleReport]:
     Identical (seed, trials) pairs produce identical reports; pass overall
     means every report passed individually.
     """
+    if seed < 0:
+        raise GeometryError(f"seed must be >= 0, got {seed}")
     if trials < 1:
         raise GeometryError(f"trials must be >= 1, got {trials}")
     reports = []

@@ -17,11 +17,10 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCES,
+    EPS_NULL,
     BadSampleCountsError,
     CausalCharacter,
     GeometryError,
-    ToleranceConfig,
     _scalar,
     as_vector,
     fmt_float,
@@ -116,11 +115,9 @@ def primed_form_value(vp) -> float | np.ndarray:
     return _scalar(-(x * x + y * y - 2.0 * z * z))
 
 
-def classify_quadric(
-    spec: QuadricSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> QuadricClass:
-    """Cone for r2 ~ 0, two sheets for r2 > 0, one sheet for r2 < 0."""
-    if abs(spec.r2) <= tol.eps_null:
+def classify_quadric(spec: QuadricSpec) -> QuadricClass:
+    """Cone for |r2| <= EPS_NULL, two sheets for r2 > 0, one sheet for r2 < 0."""
+    if abs(spec.r2) <= EPS_NULL:
         return QuadricClass.CONE
     return QuadricClass.TWO_SHEETS if spec.r2 > 0.0 else QuadricClass.ONE_SHEET
 
@@ -130,11 +127,9 @@ def quadric_equation(spec: QuadricSpec) -> str:
     return f"x'^2+y'^2-2z'^2 = {fmt_float(-spec.r2)}"
 
 
-def radius_vector_character(
-    spec: QuadricSpec, tol: ToleranceConfig = DEFAULT_TOLERANCES
-) -> CausalCharacter:
+def radius_vector_character(spec: QuadricSpec) -> CausalCharacter:
     """Character of every radius vector of the surface: f(v, v) = r2 pointwise."""
-    kind = classify_quadric(spec, tol)
+    kind = classify_quadric(spec)
     if kind is QuadricClass.CONE:
         return CausalCharacter.NULL
     if kind is QuadricClass.TWO_SHEETS:
@@ -168,11 +163,7 @@ def default_extent(r2: float) -> float:
 
 
 def sample_quadric(
-    spec: QuadricSpec,
-    n_s: int,
-    n_theta: int,
-    extent: float | None = None,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
+    spec: QuadricSpec, n_s: int, n_theta: int, extent: float | None = None
 ) -> np.ndarray:
     """Sample the surface x'^2+y'^2-2z'^2 = -r2 on an exact parametric grid.
 
@@ -204,7 +195,7 @@ def sample_quadric(
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    kind = classify_quadric(spec, tol)
+    kind = classify_quadric(spec)
 
     rows: list[np.ndarray] = []
 

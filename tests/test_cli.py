@@ -37,6 +37,16 @@ def test_classify_null():
     assert "character=null" in result.stdout
 
 
+def test_classify_eps_overrides_null_band():
+    vector = ("--metric", "1,0", "--vector", "1,0,1e-12")  # cos_phi = 1e-12
+    assert "character=null" in run_cli("classify", *vector).stdout
+    assert "character=spacelike" in run_cli("classify", *vector, "--eps", "1e-13").stdout
+    for bad in ("0", "1e-3", "nan"):
+        result = run_cli("classify", *vector, "--eps", bad)
+        assert result.returncode == 2
+        assert "eps_null must lie in (0, 1e-3)" in result.stderr
+
+
 def test_classify_invalid_metric_exits_2():
     result = run_cli("classify", "--metric", "1,1", "--vector", "1,0,0")
     assert result.returncode == 2
@@ -274,8 +284,12 @@ def test_quadric_mesh_file(tmp_path):
 
 def test_quadric_bad_samples_exit_2(tmp_path):
     mesh = tmp_path / "out.obj"
-    result = run_cli("quadric", "--r2", "1", "--mesh", str(mesh), "--samples", "1,2")
-    assert result.returncode == 2
+    for flags in (["--samples", "1,2"], ["--samples", "1,3"], ["--t-max", "inf"]):
+        result = run_cli("quadric", "--r2", "1", "--mesh", str(mesh), *flags)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "error:" in result.stderr
+        assert not mesh.exists()
 
 
 # ---------------------------------------------------------------- conic
@@ -348,3 +362,9 @@ def test_verify_deterministic_bytes():
 
 def test_verify_bad_trials_exits_2():
     assert run_cli("verify", "--trials", "0").returncode == 2
+
+
+def test_verify_negative_seed_exits_2():
+    result = run_cli("verify", "--seed", "-1", "--trials", "1")
+    assert result.returncode == 2
+    assert result.stderr == "error: seed must be >= 0, got -1\n"

@@ -11,12 +11,13 @@ from circgeo import (
     CHARACTER_BY_CODE,
     CODE_NON_FINITE,
     CODE_ZERO_VECTOR,
+    EPS_ANGLE,
+    EPS_NULL,
     CausalCharacter,
     CirculantMetric,
     GeometryError,
     InvalidMetricError,
     InvariantViolation,
-    ToleranceConfig,
     ZeroVectorError,
     causal_character,
     clamp_cos,
@@ -78,11 +79,13 @@ def test_metric_validation():
 
 
 def test_tolerance_validation():
-    ToleranceConfig(eps_null=1e-12, eps_angle=1e-6)
-    with pytest.raises(GeometryError):
-        ToleranceConfig(eps_null=0.0)
-    with pytest.raises(GeometryError):
-        ToleranceConfig(eps_angle=1e-3)
+    assert EPS_NULL == EPS_ANGLE == 1e-9
+    m, row = CirculantMetric(1.0, 0.0), np.array([[1.0, 0.0, 1e-12]])  # cos_phi = 1e-12
+    assert CHARACTER_BY_CODE[classify_many(m, row)[1][0]] is CausalCharacter.NULL
+    assert CHARACTER_BY_CODE[classify_many(m, row, eps_null=1e-13)[1][0]] is CausalCharacter.SPACELIKE
+    for bad in (0.0, -1e-9, 1e-3, math.nan):
+        with pytest.raises(GeometryError, match=r"eps_null must lie in \(0, 1e-3\)"):
+            classify_many(m, row, eps_null=bad)
 
 
 def test_g_inner_frozen_values():
