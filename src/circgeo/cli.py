@@ -1,6 +1,7 @@
 """Command-line surface: classification, batch reports, mesh export, verification.
 
-Exit codes: 0 success, 1 verification or residual failure, 2 usage/input error.
+Exit codes: 0 success, 1 verification or residual failure, 2 usage/input error
+or a file that cannot be read or written.
 All output is deterministic for fixed flags (and seed); floats print as the
 shortest decimal that round-trips.
 """
@@ -8,6 +9,7 @@ shortest decimal that round-trips.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import sys
@@ -41,35 +43,15 @@ from .conics import ConicSpec, classify_conic, conic_coefficients, discriminant
 from .oracle import run_suite
 
 
-def _parse_metric(text: str) -> CirculantMetric:
+def _parse_numbers(flag: str, form: str, text: str, convert=float) -> list:
+    """The comma-separated numbers of a flag, one for each field of `form`, e.g. 'A,B'."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise GeometryError(f"--metric expects 'A,B', got {text!r}")
     try:
-        a, b = (float(p) for p in parts)
+        if len(parts) == form.count(",") + 1:
+            return [convert(p) for p in parts]
     except ValueError:
-        raise GeometryError(f"--metric expects two reals, got {text!r}") from None
-    return CirculantMetric(a, b)
-
-
-def _parse_vector(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise GeometryError(f"--vector expects 'X,Y,Z', got {text!r}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError:
-        raise GeometryError(f"--vector expects three reals, got {text!r}") from None
-
-
-def _parse_samples(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise GeometryError(f"--samples expects 'NS,NT', got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GeometryError(f"--samples expects 'NS,NT', got {text!r}") from None
+        pass
+    raise GeometryError(f"{flag} expects {form!r}, got {text!r}")
 
 
 def _vector_line(label: str, v: np.ndarray) -> str:
@@ -90,8 +72,8 @@ def _python_rows(*columns):
 
 
 def _cmd_classify(args) -> int:
-    metric = _parse_metric(args.metric)
-    vector = _parse_vector(args.vector)
+    metric = CirculantMetric(*_parse_numbers("--metric", "A,B", args.metric))
+    vector = np.array(_parse_numbers("--vector", "X,Y,Z", args.vector))
     cos, code, f_uu = classify_many(metric, vector[None, :], args.eps)
     if code[0] == CODE_NON_FINITE:
         raise GeometryError("vector components must be finite")
@@ -108,11 +90,7 @@ def _cmd_classify(args) -> int:
 
 def _read_batch_rows(path: str) -> np.ndarray:
     """The CSV's rows as an (N, 3) float array; every input error names its line."""
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise GeometryError(f"cannot read {path!r}: {exc}") from None
-    with fh:
+    with open(path, "rb") as fh:
         values = []
         # Each line is decoded on its own, so a bad byte is blamed on its line.
         # The header comes first even from an empty file, which then fails it.
@@ -136,7 +114,7 @@ def _read_batch_rows(path: str) -> np.ndarray:
 
 
 def _cmd_classify_batch(args) -> int:
-    metric = _parse_metric(args.metric)
+    metric = CirculantMetric(*_parse_numbers("--metric", "A,B", args.metric))
     rows = _read_batch_rows(args.input)
     cos, code, _ = classify_many(metric, rows)
     # classify_many has range-checked every cosine; nan rows stay nan.
@@ -156,7 +134,7 @@ def _cmd_classify_batch(args) -> int:
 
 
 def _cmd_qbasis(args) -> int:
-    metric = _parse_metric(args.metric)
+    metric = CirculantMetric(*_parse_numbers("--metric", "A,B", args.metric))
     basis = orthonormal_q_basis(metric)
     residual = float(np.max(np.abs(gram_matrix(metric, basis.vectors()) - np.eye(3))))
     print(_vector_line("u", basis.u))
@@ -168,14 +146,18 @@ def _cmd_qbasis(args) -> int:
 
 def _cmd_quadric(args) -> int:
     spec = QuadricSpec(args.r2)
-    # The mesh is sampled first, so a bad --samples or --t-max prints nothing.
+    # The mesh is sampled and its file opened first, so a bad --samples,
+    # --t-max or --mesh prints nothing.
+    mesh = contextlib.nullcontext()
     if args.mesh is not None:
-        vertices = sample_quadric(spec, *_parse_samples(args.samples), extent=args.t_max)
-    print(f"class={classify_quadric(spec).value}")
-    print(f"equation={quadric_equation(spec)}")
-    print(f"character={radius_vector_character(spec).value}")
-    if args.mesh is not None:
-        with open(args.mesh, "w", encoding="utf-8", newline="\n") as fh:
+        samples = _parse_numbers("--samples", "NS,NT", args.samples, int)
+        vertices = sample_quadric(spec, *samples, extent=args.t_max)
+        mesh = open(args.mesh, "w", encoding="utf-8", newline="\n")
+    with mesh as fh:
+        print(f"class={classify_quadric(spec).value}")
+        print(f"equation={quadric_equation(spec)}")
+        print(f"character={radius_vector_character(spec).value}")
+        if fh is not None:
             for x, y, z in _python_rows(*vertices.T):
                 fh.write(f"v {fmt_float(x)} {fmt_float(y)} {fmt_float(z)}\n")
     return 0
@@ -275,7 +257,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GeometryError as exc:
+    except (GeometryError, OSError) as exc:  # bad input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -208,7 +208,8 @@ def classify_conic(spec: ConicSpec) -> ConicClassification:
     * c ~ -1/2 (phi = 2*pi/3): x^2 + y^2 = -r2. Circle of radius sqrt(-r2)
       for r2 < 0, single point for r2 ~ 0, empty for r2 > 0.
     * c ~ -1/3 (D = 0): (sqrt(2) x - y)^2 = -3 r2. Empty for r2 > 0, the
-      line y = sqrt(2) x for r2 ~ 0, two parallel lines for r2 < 0.
+      line y = sqrt(2) x for r2 ~ 0, two parallel lines for r2 < 0; a
+      GeometryError when 3 r2 overflows.
     * D > 0: hyperbola for r2 != 0; a pair of intersecting lines for r2 ~ 0
       (extension: follows from standard conic theory alone, not from one of
       the special-angle identities above).
@@ -232,6 +233,8 @@ def classify_conic(spec: ConicSpec) -> ConicClassification:
         return ConicClassification(ConicClass.NO_REAL_POINTS, equation, extension=False)
 
     if abs(c + 1.0 / 3.0) <= EPS_ANGLE:
+        if not math.isfinite(3.0 * r2):
+            raise GeometryError(f"r2 = {r2!r} is too large at cos(phi) = -1/3: 3*r2 overflows")
         if near_zero_r2:
             return ConicClassification(
                 ConicClass.SINGLE_LINE, f"y = {fmt_float(_SQRT2)}*x", extension=False

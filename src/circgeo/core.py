@@ -141,11 +141,12 @@ def as_vector(u) -> np.ndarray:
 
 
 def fmt_float(x: float) -> str:
-    """Shortest decimal that parses back to the same float; integral values print bare."""
-    v = float(x)
-    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+    """Shortest decimal that parses back to the same float; integral values print bare.
+
+    repr prints an integral float below 1e16 as digits and '.0'; adding 0.0
+    turns -0.0 into 0.0, so it prints '0'.
+    """
+    return repr(float(x) + 0.0).removesuffix(".0")
 
 
 def _unit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

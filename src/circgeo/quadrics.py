@@ -72,10 +72,6 @@ class QuadricSpec:
         if not math.isfinite(self.r2):
             raise GeometryError("quadric level constant must be finite")
 
-    @property
-    def abs_r2(self) -> float:
-        return abs(self.r2)
-
 
 @dataclass(frozen=True)
 class CircleIntersection:
@@ -157,6 +153,12 @@ def basis_heads_primed() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (to_primed(eye[0]), to_primed(eye[1]), to_primed(eye[2]))
 
 
+def _math_map(fn, x: np.ndarray) -> np.ndarray:
+    """fn applied to each entry with the math module, whose sinh and cosh the
+    meshes were made with (numpy's differ in the last bit on some CPUs)."""
+    return np.array([fn(v) for v in x.tolist()])
+
+
 def default_extent(r2: float) -> float:
     """Default cylindrical-radius reach of sampled meshes."""
     return 2.0 * max(1.0, math.sqrt(abs(r2)))
@@ -182,7 +184,8 @@ def sample_quadric(
       extent/a when that exceeds 1. Single connected branch.
 
     The profile ranges are chosen so the cylindrical radius reaches `extent`
-    (default 2 * max(1, sqrt(|r2|))). Every vertex satisfies the surface
+    (default 2 * max(1, sqrt(|r2|))); an extent for which extent/sqrt(|r2|)
+    overflows is a GeometryError. Every vertex satisfies the surface
     equation to a relative 1e-9 by construction.
     """
     if n_s < 2 or n_theta < 3:
@@ -192,34 +195,28 @@ def sample_quadric(
     t_max = default_extent(spec.r2) if extent is None else float(extent)
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise GeometryError(f"mesh extent must be positive and finite, got {t_max!r}")
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     kind = classify_quadric(spec)
-
-    rows: list[np.ndarray] = []
-
-    def emit(radius: float, height: float) -> None:
-        rows.append(
-            np.column_stack(
-                (radius * cos_t, radius * sin_t, np.full(n_theta, height))
-            )
+    a = math.sqrt(abs(spec.r2))
+    if kind is not QuadricClass.CONE and not math.isfinite(t_max / a):
+        raise GeometryError(
+            f"mesh extent {t_max!r} is too large for r2 = {spec.r2!r}: extent/sqrt(|r2|) overflows"
         )
-
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    # The profile: one (radius, height) per row.
     if kind is QuadricClass.CONE:
-        for sign in (1.0, -1.0):
-            for t in np.linspace(0.0, t_max, n_s):
-                emit(t, sign * t * inv_sqrt2)
+        radius = np.linspace(0.0, t_max, n_s)
+        height = radius * inv_sqrt2
     elif kind is QuadricClass.TWO_SHEETS:
-        a = math.sqrt(spec.r2)
-        s_grid = np.linspace(0.0, math.asinh(t_max / a), n_s)
-        for sign in (1.0, -1.0):
-            for s in s_grid:
-                emit(a * math.sinh(s), sign * a * inv_sqrt2 * math.cosh(s))
+        s = np.linspace(0.0, math.asinh(t_max / a), n_s)
+        radius, height = a * _math_map(math.sinh, s), a * inv_sqrt2 * _math_map(math.cosh, s)
     else:
-        a = math.sqrt(-spec.r2)
         s_max = math.acosh(max(t_max / a, 1.0))
-        for s in np.linspace(-s_max, s_max, n_s):
-            emit(a * math.cosh(s), a * inv_sqrt2 * math.sinh(s))
+        s = np.linspace(-s_max, s_max, n_s)
+        radius, height = a * _math_map(math.cosh, s), a * inv_sqrt2 * _math_map(math.sinh, s)
+    if kind is not QuadricClass.ONE_SHEET:  # the + branch, then its mirror image
+        radius, height = np.concatenate((radius, radius)), np.concatenate((height, -height))
 
-    return np.vstack(rows)
+    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    radius, height = radius[:, None], height[:, None]
+    x, y, z = np.broadcast_arrays(radius * np.cos(theta), radius * np.sin(theta), height)
+    return np.stack((x, y, z), axis=-1).reshape(-1, 3)

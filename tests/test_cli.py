@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -146,6 +148,24 @@ def test_batch_bad_header_exits_2(tmp_path):
     )
     assert result.returncode == 2
     assert "line 1" in result.stderr
+
+
+def test_batch_unwritable_output_exits_2(tmp_path):
+    csv = tmp_path / "rows.csv"
+    csv.write_text("x,y,z\n1,2,3\n", encoding="utf-8")
+    out = tmp_path / "missing" / "report.txt"
+    result = run_cli("classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(out))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+def test_batch_unreadable_input_exits_2(tmp_path):
+    csv = tmp_path / "missing.csv"
+    result = run_cli("classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(tmp_path / "r.txt"))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and str(csv) in result.stderr
 
 
 def test_batch_bad_row_names_line(tmp_path):
@@ -292,6 +312,38 @@ def test_quadric_bad_samples_exit_2(tmp_path):
         assert not mesh.exists()
 
 
+def test_quadric_unwritable_mesh_exits_2_before_output(tmp_path):
+    mesh = tmp_path / "missing" / "out.obj"
+    result = run_cli("quadric", "--r2", "1", "--mesh", str(mesh))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert not mesh.exists()
+
+
+@pytest.mark.parametrize("r2", ["1e-8", "-1e-8"])
+def test_quadric_mesh_extent_overflow_exits_2(tmp_path, r2):
+    # t_max / sqrt(|r2|) overflows; the mesh once held nan and inf vertices.
+    mesh = tmp_path / "t.obj"
+    result = run_cli("quadric", f"--r2={r2}", "--t-max=1e308", "--mesh", str(mesh), "--samples", "2,3")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: mesh extent 1e+308 is too large for r2 = {float(r2)!r}: extent/sqrt(|r2|) overflows\n"
+    assert not mesh.exists()
+
+
+def test_flag_parse_errors_name_flag_form_and_text(tmp_path):
+    mesh = str(tmp_path / "out.obj")
+    for args, message in (
+        (("classify", "--metric", "1,oops", "--vector", "1,0,0"), "--metric expects 'A,B', got '1,oops'"),
+        (("classify", "--metric", "1,0", "--vector", "1,0"), "--vector expects 'X,Y,Z', got '1,0'"),
+        (("quadric", "--r2", "1", "--mesh", mesh, "--samples", "4.5,8"), "--samples expects 'NS,NT', got '4.5,8'"),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert result.stderr == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------- conic
 
 
@@ -324,6 +376,15 @@ def test_conic_phi_input():
     result = run_cli("conic", "--phi", "1.5707963267948966", "--r2", "1")
     assert result.returncode == 0
     assert "class=hyperbola" in result.stdout
+
+
+@pytest.mark.parametrize("r2", ["1e308", "-1e308"])
+def test_conic_degenerate_angle_r2_overflow_exits_2(r2):
+    # -3 * r2 overflows; the equation once printed as ±inf or -inf.
+    result = run_cli("conic", "--cos-phi=-0.3333333333333333", f"--r2={r2}")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: r2 = {float(r2)!r} ")
 
 
 def test_conic_out_of_domain_phi_exits_2():

@@ -244,3 +244,10 @@ def test_degenerate_expansion_grid(r2):
 def test_degenerate_expansion_rejects_other_angles():
     with pytest.raises(AngleDomainError):
         degenerate_expansion_check(ConicSpec(0.0, 0.0))
+
+
+@pytest.mark.parametrize("r2", [1e308, -1e308])
+def test_degenerate_angle_rejects_overflowing_r2(r2):
+    # The equation (sqrt(2) x - y)^2 = -3 r2 has no finite right-hand side.
+    with pytest.raises(GeometryError, match="r2"):
+        classify_conic(ConicSpec(THIRD, r2))

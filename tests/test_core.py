@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circgeo import (
@@ -24,6 +24,7 @@ from circgeo import (
     classify_many,
     cos_phi,
     f_inner,
+    fmt_float,
     g_inner,
     g_norm,
     phi_angle,
@@ -456,3 +457,29 @@ def test_classify_many_extreme_metric():
     assert (code[0], bits(cos[0])) == (code_1[0], bits(cos_1[0]))
     assert CHARACTER_BY_CODE[code[0]] is CausalCharacter.TIMELIKE
     assert f_uu[0] == pytest.approx(1e308 * f_uu_1[0], rel=1e-15)
+
+
+def _fmt_float_reference(x) -> str:
+    """fmt_float's earlier definition, which its shorter one must match exactly."""
+    v = float(x)
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
+
+
+_EDGE_FLOATS = [1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), 2.0**53, 2.0**53 + 2]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    st.one_of(
+        st.floats(),  # nan, +-inf, +-0.0 and subnormals included
+        st.integers(-(2**64), 2**64).map(float),
+        st.sampled_from(_EDGE_FLOATS).flatmap(lambda v: st.sampled_from([v, -v])),
+    )
+)
+@example(-0.0)
+@example(5e-324)
+def test_fmt_float_matches_reference(x):
+    assert fmt_float(x) == _fmt_float_reference(x)
+    assert fmt_float(np.float64(x)) == _fmt_float_reference(x)

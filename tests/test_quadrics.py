@@ -10,6 +10,7 @@ from circgeo import (
     BadSampleCountsError,
     CausalCharacter,
     CirculantMetric,
+    GeometryError,
     QuadricClass,
     QuadricSpec,
     basis_heads_primed,
@@ -190,3 +191,10 @@ def test_mesh_bad_sample_counts():
         sample_quadric(QuadricSpec(1.0), 1, 8)
     with pytest.raises(BadSampleCountsError):
         sample_quadric(QuadricSpec(1.0), 4, 2)
+
+
+@pytest.mark.parametrize("r2", [1e-8, -1e-8])
+def test_mesh_extent_overflow_raises(r2):
+    # extent / sqrt(|r2|) overflows, which would put nan and inf in the mesh.
+    with pytest.raises(GeometryError, match="extent"):
+        sample_quadric(QuadricSpec(r2), 2, 3, extent=1e308)
