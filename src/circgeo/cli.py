@@ -60,8 +60,10 @@ def _vector_line(label: str, v: np.ndarray) -> str:
 
 # Report names of classify_many's character codes.
 _CHARACTER_NAMES = [c.value for c in CHARACTER_BY_CODE] + ["error:zero-vector", "error:non-finite"]
-# Rows a report or mesh converts to Python floats at a time, so peak memory
-# does not grow by the Python objects of every row at once.
+# Rows a report or mesh turns into Python objects at a time, so peak memory
+# does not grow with the row count. A mesh formats each distinct value once
+# per block: deduplicating whole columns would save more repr calls but hold
+# every distinct string at once.
 _REPORT_BLOCK = 4096
 
 
@@ -69,6 +71,18 @@ def _python_rows(*columns):
     """zip(*columns) over Python numbers, converted _REPORT_BLOCK rows at a time."""
     for start in range(0, len(columns[0]), _REPORT_BLOCK):
         yield from zip(*(column[start : start + _REPORT_BLOCK].tolist() for column in columns))
+
+
+def _fmt_column(column: np.ndarray) -> list[str]:
+    """fmt_float of each entry of a 1-d float array, calling repr once per distinct value.
+
+    np.unique merges -0.0 with 0.0 and every nan with the others, which
+    fmt_float prints alike ('0', 'nan'), so the merge changes no string.
+    """
+    unique, inverse = np.unique(column, return_inverse=True)
+    # fmt_float without a Python frame per value.
+    strings = list(map(str.removesuffix, map(repr, (unique + 0.0).tolist()), itertools.repeat(".0")))
+    return [strings[i] for i in inverse.tolist()]
 
 
 def _cmd_classify(args) -> int:
@@ -158,8 +172,9 @@ def _cmd_quadric(args) -> int:
         print(f"equation={quadric_equation(spec)}")
         print(f"character={radius_vector_character(spec).value}")
         if fh is not None:
-            for x, y, z in _python_rows(*vertices.T):
-                fh.write(f"v {fmt_float(x)} {fmt_float(y)} {fmt_float(z)}\n")
+            for start in range(0, len(vertices), _REPORT_BLOCK):
+                block = vertices[start : start + _REPORT_BLOCK]
+                fh.write("".join(map("v {} {} {}\n".format, *map(_fmt_column, block.T))))
     return 0
 
 

@@ -233,8 +233,7 @@ def classify_conic(spec: ConicSpec) -> ConicClassification:
         return ConicClassification(ConicClass.NO_REAL_POINTS, equation, extension=False)
 
     if abs(c + 1.0 / 3.0) <= EPS_ANGLE:
-        if not math.isfinite(3.0 * r2):
-            raise GeometryError(f"r2 = {r2!r} is too large at cos(phi) = -1/3: 3*r2 overflows")
+        _check_degenerate_r2(r2)
         if near_zero_r2:
             return ConicClassification(
                 ConicClass.SINGLE_LINE, f"y = {fmt_float(_SQRT2)}*x", extension=False
@@ -271,17 +270,25 @@ def classify_conic(spec: ConicSpec) -> ConicClassification:
     return ConicClassification(ConicClass.NO_REAL_POINTS, _general_equation(k), extension=True)
 
 
+def _check_degenerate_r2(r2: float) -> None:
+    """At cos phi = -1/3 the level enters as 3*r2, which must be finite."""
+    if not math.isfinite(3.0 * r2):
+        raise GeometryError(f"r2 = {r2!r} is too large at cos(phi) = -1/3: 3*r2 overflows")
+
+
 def degenerate_expansion_check(spec: ConicSpec, points=None) -> float:
     """Max residual of the identity -6 (lhs - rhs) == (sqrt(2) x - y)^2 + 3 r2.
 
     Only meaningful at the degenerate angle cos phi = -1/3, where the plane
     equation collapses to a perfect square; anywhere else the identity is
-    false and the call is rejected. Defaults to an 11 x 11 grid on [-2, 2]^2.
+    false and the call is rejected, as is an r2 for which 3 r2 overflows.
+    Defaults to an 11 x 11 grid on [-2, 2]^2.
     """
     if abs(spec.cos_phi + 1.0 / 3.0) > EPS_ANGLE:
         raise AngleDomainError(
             f"expansion identity holds only at cos(phi) = -1/3, got {spec.cos_phi!r}"
         )
+    _check_degenerate_r2(spec.r2)
     k = conic_coefficients(spec)
     if points is None:
         grid = np.linspace(-2.0, 2.0, 11)

@@ -247,6 +247,14 @@ def test_degenerate_expansion_rejects_other_angles():
 
 
 @pytest.mark.parametrize("r2", [1e308, -1e308])
+def test_degenerate_expansion_rejects_overflowing_r2(r2):
+    # 3 * r2 and -6 * lhs overflow; the residual once read nan, with warnings.
+    with pytest.raises(GeometryError) as excinfo:
+        degenerate_expansion_check(ConicSpec(THIRD, r2))
+    assert str(excinfo.value) == f"r2 = {r2!r} is too large at cos(phi) = -1/3: 3*r2 overflows"
+
+
+@pytest.mark.parametrize("r2", [1e308, -1e308])
 def test_degenerate_angle_rejects_overflowing_r2(r2):
     # The equation (sqrt(2) x - y)^2 = -3 r2 has no finite right-hand side.
     with pytest.raises(GeometryError, match="r2"):
