@@ -1,67 +1,10 @@
 """Numerical kernel for 3-space tangent geometry with a circulant metric,
 its cyclic-shift isometry, and the indefinite metric the pair induces."""
 
-from .core import (
-    CHARACTER_BY_CODE,
-    CODE_NON_FINITE,
-    CODE_ZERO_VECTOR,
-    EPS_ANGLE,
-    EPS_NULL,
-    AngleDomainError,
-    BadSampleCountsError,
-    CausalCharacter,
-    CirculantMetric,
-    DegenerateAngleError,
-    GeometryError,
-    InvalidMetricError,
-    InvariantViolation,
-    ZeroVectorError,
-    as_vector,
-    causal_character,
-    clamp_cos,
-    classify_many,
-    cos_phi,
-    f_inner,
-    fmt_float,
-    g_inner,
-    g_norm,
-    phi_angle,
-    q_apply,
-)
-from .frames import PlaneFrame, QBasis, companion_w, gram_matrix, is_q_basis, orthonormal_q_basis
-from .quadrics import (
-    ROTATION,
-    CircleIntersection,
-    QuadricClass,
-    QuadricSpec,
-    basis_heads_primed,
-    classify_quadric,
-    cone_sphere_intersection,
-    default_extent,
-    from_primed,
-    primed_form_value,
-    quadric_equation,
-    radius_vector_character,
-    sample_quadric,
-    sphere_form_value,
-    to_primed,
-)
-from .conics import (
-    COS_PHI_MAX,
-    PHI_MAX,
-    PHI_MIN,
-    ConicClass,
-    ConicClassification,
-    ConicCoefficients,
-    ConicSpec,
-    classify_conic,
-    conic_coefficients,
-    degenerate_expansion_check,
-    discriminant,
-    discriminant_closed_form,
-    discriminant_sign_form,
-    plane_f_values,
-)
-from .oracle import OracleReport, dense_g_inner, random_metric, random_vector, run_suite
+from .core import *
+from .frames import *
+from .quadrics import *
+from .conics import *
+from .oracle import *
 
 __version__ = "0.1.0"

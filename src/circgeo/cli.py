@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     CHARACTER_BY_CODE,
-    CODE_NON_FINITE,
     CODE_ZERO_VECTOR,
     EPS_ANGLE,
     EPS_NULL,
@@ -26,6 +25,7 @@ from .core import (
     GeometryError,
     InvariantViolation,
     ZeroVectorError,
+    as_vector,
     clamp_cos,
     classify_many,
     fmt_float,
@@ -89,8 +89,7 @@ def _cmd_classify(args) -> int:
     metric = CirculantMetric(*_parse_numbers("--metric", "A,B", args.metric))
     vector = np.array(_parse_numbers("--vector", "X,Y,Z", args.vector))
     cos, code, f_uu = classify_many(metric, vector[None, :], args.eps)
-    if code[0] == CODE_NON_FINITE:
-        raise GeometryError("vector components must be finite")
+    as_vector(vector)  # once --eps has passed: a non-finite vector is an input error, not a row code
     if code[0] == CODE_ZERO_VECTOR:
         raise ZeroVectorError("causal character is undefined for the zero vector")
     c = float(cos[0])

@@ -118,7 +118,11 @@ class CirculantMetric:
         a, b = np.broadcast_arrays(np.array(self.a, dtype=float), np.array(self.b, dtype=float))
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise InvalidMetricError("metric coefficients must be finite")
-        bad = ~((a > 0.0) & (a - b > 0.0) & (a + 2.0 * b > 0.0))
+        # Tested on the scaled coefficients, where no valid metric overflows;
+        # an invalid b may scale or double to +-inf, which still fails.
+        with np.errstate(over="ignore"):
+            a_s, b_s, _ = _scaled_metric(a, b)
+            bad = ~((a_s > 0.0) & (a_s - b_s > 0.0) & (a_s + 2.0 * b_s > 0.0))
         if bad.any():
             i = np.argmax(bad)
             a, b = float(a.flat[i]), float(b.flat[i])
@@ -160,11 +164,21 @@ def _unit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(x, -exponent[..., None]), exponent
 
 
+def _scaled_metric(a, b):
+    """(a, b, exponent): a and b divided by the power of two of a, exactly.
+
+    The scaled a of a valid metric lies in [1/2, 1) and |b| < a, so no sum,
+    difference or ratio of the scaled coefficients overflows, and the
+    exponent, common to both, cancels in a ratio.
+    """
+    _, exponent = np.frexp(a)
+    return np.ldexp(a, -exponent), np.ldexp(b, -exponent), exponent
+
+
 def _unit_metric(m: CirculantMetric):
     """(a - b, b, exponent) of the metric divided by the power of two of a (> |b|)."""
-    _, exponent = np.frexp(m.a)
-    b = np.ldexp(m.b, -exponent)
-    return np.ldexp(m.a, -exponent) - b, b, exponent
+    a, b, exponent = _scaled_metric(m.a, m.b)
+    return a - b, b, exponent
 
 
 def _form(metric, u: np.ndarray, v: np.ndarray) -> np.ndarray:

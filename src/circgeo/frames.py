@@ -18,9 +18,9 @@ from .core import (
     EPS_ANGLE,
     CirculantMetric,
     DegenerateAngleError,
-    InvalidMetricError,
     ZeroVectorError,
     _scalar,
+    _scaled_metric,
     as_vector,
     clamp_cos,
     cos_phi,
@@ -78,9 +78,9 @@ def orthonormal_q_basis(m: CirculantMetric) -> QBasis:
     of u0 about n would do as well; fixing e makes the output reproducible.
     A stack of metrics gives a stack of bases.
     """
-    disc = 2.0 * (m.a + 2.0 * m.b) / (m.a - m.b)
-    if not np.all((disc > 0.0) & np.isfinite(disc)):
-        raise InvalidMetricError("metric does not admit the orthonormal construction")
+    # The power of two common to the scaled a and b cancels in the ratio.
+    a, b, _ = _scaled_metric(m.a, m.b)
+    disc = 2.0 * (a + 2.0 * b) / (a - b)
     u0 = _AXIS + np.multiply.outer(np.sqrt(disc), _SEED)
     u = u0 / np.expand_dims(g_norm(m, u0), -1)
     qu = q_apply(u)

@@ -63,7 +63,7 @@ def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "circgeo", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "circgeo", *args],
         capture_output=True,
         text=True,
         env=env,

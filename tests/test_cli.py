@@ -1,9 +1,9 @@
 """Command-line surface: formats, exit codes, determinism.
 
-Tests that read only stdout, stderr, the exit code or a mesh file call
-cli.main in this process; the rest start `python -m circgeo`, for what only
-a real process shows (the entry point, report files, no traceback, and an
-empty stdout before a failed --mesh).
+Tests that read only stdout, stderr, the exit code, a report or a mesh file
+call cli.main in this process; the rest start `python -m circgeo`, with numpy
+RuntimeWarnings as errors, for what only a real process shows (the entry
+point, no traceback, and an empty stdout before a failed --mesh).
 """
 
 import hashlib
@@ -28,7 +28,7 @@ def run_cli(*args, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "circgeo", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "circgeo", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -98,6 +98,13 @@ def test_classify_non_finite_vector_exits_2(run_main):
     assert result.stderr == "error: vector components must be finite\n"
 
 
+@pytest.mark.parametrize("vector", ["nan,0,0", "1,inf,0", "-inf,2,3"])
+def test_classify_non_finite_components_exit_2(run_main, vector):
+    result = run_main("classify", "--metric", "1,0", f"--vector={vector}")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: vector components must be finite\n"
+
+
 def classify_fields(run, *args):
     result = run("classify", *args)
     assert result.returncode == 0, result.stderr
@@ -138,11 +145,11 @@ def test_invariant_violation_exits_1(monkeypatch, capsys):
 # ---------------------------------------------------------------- batch
 
 
-def test_batch_roundtrip(tmp_path):
+def test_batch_roundtrip(tmp_path, run_main):
     csv = tmp_path / "in.csv"
     out = tmp_path / "report.txt"
     csv.write_text("x,y,z\n1,2,3\n1,0,0\n0,0,0\n1,-1,0\n5,5,5\n", encoding="utf-8")
-    result = run_cli("classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(out))
+    result = run_main("classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(out))
     assert result.returncode == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "metric a=1 b=0"
@@ -158,19 +165,19 @@ def test_batch_roundtrip(tmp_path):
     assert "character=spacelike" in rows[4]
 
 
-def test_batch_header_only(tmp_path):
+def test_batch_header_only(tmp_path, run_main):
     csv = tmp_path / "empty.csv"
     out = tmp_path / "report.txt"
     csv.write_text("x,y,z\n", encoding="utf-8")
-    result = run_cli("classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(out))
+    result = run_main("classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(out))
     assert result.returncode == 0
     assert "rows n=0" in out.read_text(encoding="utf-8")
 
 
-def test_batch_bad_header_exits_2(tmp_path):
+def test_batch_bad_header_exits_2(tmp_path, run_main):
     csv = tmp_path / "bad.csv"
     csv.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
-    result = run_cli(
+    result = run_main(
         "classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(csv) + ".out"
     )
     assert result.returncode == 2
@@ -188,41 +195,41 @@ def test_batch_unwritable_output_exits_2(tmp_path):
     assert not out.exists()
 
 
-def test_batch_unreadable_input_exits_2(tmp_path):
+def test_batch_unreadable_input_exits_2(tmp_path, run_main):
     csv = tmp_path / "missing.csv"
-    result = run_cli("classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(tmp_path / "r.txt"))
+    result = run_main("classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(tmp_path / "r.txt"))
     assert result.returncode == 2
     assert result.stderr.startswith("error: ") and str(csv) in result.stderr
 
 
-def test_batch_bad_row_names_line(tmp_path):
+def test_batch_bad_row_names_line(tmp_path, run_main):
     csv = tmp_path / "bad_row.csv"
     csv.write_text("x,y,z\n1,2,3\n4,nope,6\n", encoding="utf-8")
-    result = run_cli(
+    result = run_main(
         "classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(csv) + ".out"
     )
     assert result.returncode == 2
     assert "line 3" in result.stderr
 
 
-def test_batch_invalid_utf8_names_line(tmp_path):
+def test_batch_invalid_utf8_names_line(tmp_path, run_main):
     # A text reader decodes ahead in chunks, so the bad byte used to fail the
     # header read with a traceback instead of naming its line.
     csv = tmp_path / "latin1.csv"
     csv.write_bytes(b"x,y,z\n1,2,3\n4,5,6\xff\n7,8,9\n")
-    result = run_cli(
+    result = run_main(
         "classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(csv) + ".out"
     )
     assert result.returncode == 2
     assert result.stderr == "error: line 3: not valid UTF-8\n"
 
 
-def test_batch_golden_report(tmp_path):
+def test_batch_golden_report(tmp_path, run_main):
     # The report of this corpus (uniform, near-null, zero and mixed-magnitude
     # rows) was captured from the row-by-row implementation that preceded the
     # vectorised kernel; every byte must stay the same.
     out = tmp_path / "report.txt"
-    result = run_cli(
+    result = run_main(
         "classify-batch", "--metric", "1.75,0.375",
         "--input", str(DATA / "batch_golden.csv"), "--output", str(out),
     )
@@ -231,34 +238,34 @@ def test_batch_golden_report(tmp_path):
     assert out.read_bytes() == (DATA / "batch_golden_report.txt").read_bytes()
 
 
-def batch_report(tmp_path, rows, metric="2,0.5"):
+def batch_report(run, tmp_path, rows, metric="2,0.5"):
     """Report lines of classify-batch on rows of CSV text, each split into a field dict."""
     csv = tmp_path / "rows.csv"
     out = tmp_path / "report.txt"
     csv.write_text("x,y,z\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
-    result = run_cli("classify-batch", "--metric", metric, "--input", str(csv), "--output", str(out))
+    result = run("classify-batch", "--metric", metric, "--input", str(csv), "--output", str(out))
     assert result.returncode == 0, result.stderr
     lines = out.read_text(encoding="utf-8").splitlines()[3:]
     return [dict(field.split("=") for field in line.split()[1:]) for line in lines]
 
 
-def test_batch_extreme_magnitudes(tmp_path):
+def test_batch_extreme_magnitudes(tmp_path, run_main):
     rows = batch_report(
-        tmp_path, ["1e200,1e200,1e200", "1e155,-2e155,5e154", "1e-200,1e-200,1e-200"]
+        run_main, tmp_path, ["1e200,1e200,1e200", "1e155,-2e155,5e154", "1e-200,1e-200,1e-200"]
     )
     assert [r["character"] for r in rows] == ["spacelike", "timelike", "spacelike"]
     assert rows[0]["cos_phi"] == rows[2]["cos_phi"] == "1"
     assert abs(float(rows[1]["cos_phi"]) + 0.453125) <= 1e-15
 
 
-def test_batch_rows_scaled_by_2_pow_540(tmp_path):
+def test_batch_rows_scaled_by_2_pow_540(tmp_path, run_main):
     # Squares of 2**540 overflow and squares of 2**-540 underflow; the rows
     # must still read exactly as their unscaled originals.
     base = [(1.0, 2.0, 3.0), (3.0, -1.0, 2.0), (1.0, -1.0, 0.0), (1.0, 0.0, 0.0), (-0.5, 4.0, 1.25)]
     texts = []
     for k in (0, 540, -540):
         texts += [",".join(repr(math.ldexp(c, k)) for c in u) for u in base]
-    rows = batch_report(tmp_path, texts, metric="1,0")
+    rows = batch_report(run_main, tmp_path, texts, metric="1,0")
     keys = ("cos_phi", "phi_rad", "character")
     plain = [[r[key] for key in keys] for r in rows[: len(base)]]
     assert [[r[key] for key in keys] for r in rows[len(base) : 2 * len(base)]] == plain
@@ -266,8 +273,8 @@ def test_batch_rows_scaled_by_2_pow_540(tmp_path):
     assert [p[2] for p in plain] == ["spacelike", "spacelike", "timelike", "null", "spacelike"]
 
 
-def test_batch_non_finite_rows_are_row_errors(tmp_path):
-    rows = batch_report(tmp_path, ["1,1,1", "nan,0,0", "1,inf,0", "-inf,2,3", "0,0,0"])
+def test_batch_non_finite_rows_are_row_errors(tmp_path, run_main):
+    rows = batch_report(run_main, tmp_path, ["1,1,1", "nan,0,0", "1,inf,0", "-inf,2,3", "0,0,0"])
     assert [r["character"] for r in rows] == [
         "spacelike", "error:non-finite", "error:non-finite", "error:non-finite", "error:zero-vector",
     ]
@@ -297,6 +304,13 @@ def test_qbasis_general_metric(run_main):
 
 def test_qbasis_invalid_metric(run_main):
     assert run_main("qbasis", "--metric", "1,1").returncode == 2
+
+
+def test_qbasis_near_float_max_metric():
+    # a + 2b overflows unscaled, which once exited 2 with a numpy warning.
+    result = run_cli("qbasis", "--metric", "1e308,5e307")
+    assert result.returncode == 0
+    assert result.stderr == ""
 
 
 # ---------------------------------------------------------------- quadric

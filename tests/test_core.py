@@ -1,12 +1,15 @@
 """Core kernel: shift, metric, associated form, causal classification."""
 
 import math
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import circgeo
 from circgeo import (
     CHARACTER_BY_CODE,
     CODE_NON_FINITE,
@@ -77,6 +80,45 @@ def test_metric_validation():
         CirculantMetric(-1.0, -2.0)
     with pytest.raises(InvalidMetricError):
         CirculantMetric(math.nan, 0.0)
+
+
+def _is_positive_definite(a, b) -> bool:
+    """a > 0, a - b > 0 and a + 2b > 0, decided exactly on the rationals."""
+    a, b = Fraction(a), Fraction(b)
+    return a > 0 and a - b > 0 and a + 2 * b > 0
+
+
+_TINY = math.ldexp(1.0, -1070)  # subnormal
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+@example(1e308, 5e307)  # a + 2b overflows unscaled
+@example(1.5e308, 1e308)
+@example(1.7e308, -8e307)  # a - b overflows unscaled
+@example(-1.7e308, 1.7e308)
+@example(0.75, 1e308)  # 2b overflows even scaled by a
+@example(1.0, -1e308)
+@example(1e-300, 1e308)  # b / 2^exponent(a) overflows
+@example(1e-300, -1e308)
+@example(5e-324, 0.0)
+@example(5e-324, 5e-324)
+@example(_TINY, -_TINY / 2)  # a + 2b = 0
+@example(_TINY, -_TINY / 2 + 5e-324)
+@example(_TINY, math.nextafter(_TINY, 0.0))
+@example(0.0, 0.0)
+@example(1.0, math.nextafter(-0.5, 0.0))
+def test_metric_accepts_exactly_the_positive_definite(a, b):
+    # No pair may warn: Tier-1 turns a numpy RuntimeWarning into a failure.
+    if _is_positive_definite(a, b):
+        m = CirculantMetric(a, b)
+        assert (m.a, m.b) == (a, b)
+    else:
+        with pytest.raises(InvalidMetricError, match=r"is not positive definite"):
+            CirculantMetric(a, b)
 
 
 def test_tolerance_validation():
@@ -483,3 +525,22 @@ _EDGE_FLOATS = [1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf),
 def test_fmt_float_matches_reference(x):
     assert fmt_float(x) == _fmt_float_reference(x)
     assert fmt_float(np.float64(x)) == _fmt_float_reference(x)
+
+
+# ---------------------------------------------------------------- package
+
+
+def test_package_exports_exactly_the_module_lists():
+    modules = (circgeo.core, circgeo.frames, circgeo.quadrics, circgeo.conics, circgeo.oracle)
+    listed = set()
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(circgeo, name) is getattr(module, name), (module.__name__, name)
+        listed.update(module.__all__)
+    public = {
+        name
+        for name, value in vars(circgeo).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == listed
+    assert "SUITE_NAMES" in public

@@ -76,6 +76,24 @@ def test_orthonormal_basis_norm_closed_form():
         assert abs(norm_sq - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
+@pytest.mark.parametrize("a, b", [(1e308, 5e307), (1.5e308, 1e308), (1.7e308, -8e307)])
+def test_orthonormal_basis_near_float_max(a, b):
+    # a + 2b or a - b overflows unscaled, which once refused these metrics.
+    m = CirculantMetric(a, b)
+    basis = orthonormal_q_basis(m)
+    assert np.max(np.abs(gram_matrix(m, basis.vectors()) - np.eye(3))) <= 1e-10
+
+
+@pytest.mark.parametrize("a, b", [(1.9, 1.5), (1.5, 1.0), (1.0, 0.0), (2.0, -0.75)])
+def test_orthonormal_basis_scales_exactly_by_even_powers_of_two(a, b):
+    # circ(2^k a, 2^k b) has the basis of circ(a, b) times 2^(-k/2), bit for
+    # bit, over the whole exponent range of the metric.
+    u = orthonormal_q_basis(CirculantMetric(a, b)).u
+    for k in range(-1020, 1023, 2):
+        scaled = orthonormal_q_basis(CirculantMetric(math.ldexp(a, k), math.ldexp(b, k))).u
+        assert np.array_equal(scaled, np.ldexp(u, -k // 2)), k
+
+
 def test_companion_right_angle_case():
     frame = companion_w(IDENTITY_METRIC, [1.0, 0.0, 0.0])
     assert np.array_equal(frame.w, [0.0, 0.0, 1.0])
