@@ -159,11 +159,11 @@ def _cmd_qbasis(args) -> int:
 
 def _cmd_quadric(args) -> int:
     spec = QuadricSpec(args.r2)
-    # The mesh is sampled and its file opened first, so a bad --samples,
-    # --t-max or --mesh prints nothing.
+    # --samples is parsed, and the mesh sampled and its file opened, first,
+    # so a bad --samples, --t-max or --mesh prints nothing.
+    samples = _parse_numbers("--samples", "NS,NT", args.samples, int)
     mesh = contextlib.nullcontext()
     if args.mesh is not None:
-        samples = _parse_numbers("--samples", "NS,NT", args.samples, int)
         vertices = sample_quadric(spec, *samples, extent=args.t_max)
         mesh = open(args.mesh, "w", encoding="utf-8", newline="\n")
     with mesh as fh:

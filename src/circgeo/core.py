@@ -175,17 +175,12 @@ def _scaled_metric(a, b):
     return np.ldexp(a, -exponent), np.ldexp(b, -exponent), exponent
 
 
-def _unit_metric(m: CirculantMetric):
-    """(a - b, b, exponent) of the metric divided by the power of two of a (> |b|)."""
-    a, b, exponent = _scaled_metric(m.a, m.b)
-    return a - b, b, exponent
-
-
 def _form(metric, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """g(u, v) by the split circ(a, b, b) = (a - b) I + b J, J all ones; sums run (x + y) + z."""
-    a_minus_b, b, _ = metric
+    """g(u, v) / 2^exponent for _scaled_metric's (a, b, exponent), by the split
+    circ(a, b, b) = (a - b) I + b J, J all ones; sums run (x + y) + z."""
+    a, b, _ = metric
     s_u, s_v = (u[..., 0] + u[..., 1]) + u[..., 2], (v[..., 0] + v[..., 1]) + v[..., 2]
-    return a_minus_b * np.vecdot(u, v) + b * s_u * s_v
+    return (a - b) * np.vecdot(u, v) + b * s_u * s_v
 
 
 def _ldexp(x, exponent):
@@ -202,14 +197,14 @@ def q_apply(u) -> np.ndarray:
 def g_inner(m: CirculantMetric, u, v) -> float | np.ndarray:
     """Inner product under circ(a, b, b); broadcasts over stacks of vectors and metrics."""
     (u, eu), (v, ev) = _unit(as_vector(u)), _unit(as_vector(v))
-    metric = _unit_metric(m)
+    metric = _scaled_metric(m.a, m.b)
     return _scalar(_ldexp(_form(metric, u, v), eu + ev + metric[2]))
 
 
 def g_norm(m: CirculantMetric, u) -> float | np.ndarray:
     """Norm sqrt(g(u, u)); zero only for the zero vector."""
     u, exponent = _unit(as_vector(u))
-    metric = _unit_metric(m)
+    metric = _scaled_metric(m.a, m.b)
     exponent = 2 * exponent + metric[2]
     odd = exponent & 1  # an even power of two leaves the square root exact
     norm_sq = np.maximum(0.0, _form(metric, u, u))
@@ -264,7 +259,7 @@ def f_inner(m: CirculantMetric, u, v) -> float | np.ndarray:
     diagonal f(u, u) = 2 g(u, qu) = 2 g(u, u) cos_phi(u).
     """
     (u, eu), (v, ev) = _unit(as_vector(u)), _unit(as_vector(v))
-    metric = _unit_metric(m)
+    metric = _scaled_metric(m.a, m.b)
     f = _form(metric, u, v[..., _Q]) + _form(metric, u[..., _Q], v)
     return _scalar(_ldexp(f, eu + ev + metric[2]))
 
@@ -285,7 +280,7 @@ def _classify(m: CirculantMetric, x: np.ndarray, eps_null: float):
     band and timelike below.
     """
     u, exponent = _unit(x)
-    metric = _unit_metric(m)
+    metric = _scaled_metric(m.a, m.b)
     qu = u[..., _Q]
     norm_sq = _form(metric, u, u)
     g_uqu = _form(metric, u, qu)

@@ -124,25 +124,24 @@ def _worst(*residuals) -> float:
     return max((float(np.max(r, initial=0.0)) for r in residuals), default=0.0)
 
 
-def _subset(m: CirculantMetric, u: np.ndarray, keep: np.ndarray):
-    """The metrics and vectors of a stack where keep is true."""
-    return CirculantMetric(m.a[keep], m.b[keep]), u[keep]
+def _phi_grid(n: int) -> np.ndarray:
+    # Midpoint grid: strictly interior to (PHI_MIN, PHI_MAX).
+    step = (PHI_MAX - PHI_MIN) / n
+    return PHI_MIN + step * (np.arange(n) + 0.5)
 
 
-def _well_conditioned(m: CirculantMetric):
+def _framed(m: CirculantMetric, u: np.ndarray, *rows: np.ndarray, above: float = -np.inf):
+    """The metrics, vectors and other row stacks of the draws whose frame the
+    1e-12 bands can hold, where also cos_phi(m, u) > above."""
     # Metrics within a few percent of the definiteness boundary give g-unit
     # vectors with Euclidean components large enough that plain float noise
     # in the bilinear form exceeds 1e-12; those are excluded from the checks
     # that assert absolute 1e-12 bands. The same checks also gate the shift
     # angle at cos < 1 - 1e-2: the cosine's own rounding enters g(w, w)
     # amplified by 1/sin^2, so closer to parallel the band cannot hold.
-    return (m.a - m.b >= 0.05 * m.a) & (m.a + 2.0 * m.b >= 0.05 * m.a)
-
-
-def _phi_grid(n: int) -> np.ndarray:
-    # Midpoint grid: strictly interior to (PHI_MIN, PHI_MAX).
-    step = (PHI_MAX - PHI_MIN) / n
-    return PHI_MIN + step * (np.arange(n) + 0.5)
+    c = cos_phi(m, u)
+    keep = (m.a - m.b >= 0.05 * m.a) & (m.a + 2.0 * m.b >= 0.05 * m.a) & (c < 1.0 - 1e-2) & (c > above)
+    return CirculantMetric(m.a[keep], m.b[keep]), u[keep], *(r[keep] for r in rows)
 
 
 _NULL = CHARACTER_BY_CODE.index(CausalCharacter.NULL)
@@ -151,50 +150,36 @@ _NULL = CHARACTER_BY_CODE.index(CausalCharacter.NULL)
 Check = Callable[[np.random.Generator, int], tuple[float, int]]
 
 
+def _identity(draws: str, lhs, ref) -> Check:
+    """The family of an identity lhs = ref, with residual |lhs - ref| / (1 + |ref|).
+
+    Draws one stack of n per letter of draws, in that order: 'm' draws
+    metrics, 'u' and 'v' vectors. lhs and ref take the stacks in that order.
+    The rows pass lambdas, which look each function up when they run, so a
+    wrapper put on its name in this module (perfbench/tracer.py) sees the call.
+    """
+
+    def check(rng, n):
+        drawn = [random_metric(rng, n) if kind == "m" else random_vector(rng, n) for kind in draws]
+        expected = ref(*drawn)
+        return _worst(_rel(lhs(*drawn) - expected, expected)), n
+
+    return check
+
+
+def _on_phi_grid(residual) -> Check:
+    """The family of residual(c) at the cosines c of the n-point midpoint phi grid; it draws nothing."""
+    return lambda rng, n: (residual(np.cos(_phi_grid(n))), n)
+
+
 def _check_shift_cubed(rng, n):
     u = random_vector(rng, n)
     return _worst(np.abs(q_apply(q_apply(q_apply(u))) - u)), n
 
 
-def _check_isometry(rng, n):
-    m, u, v = random_metric(rng, n), random_vector(rng, n), random_vector(rng, n)
-    guv = g_inner(m, u, v)
-    return _worst(_rel(g_inner(m, q_apply(u), q_apply(v)) - guv, guv)), n
-
-
-def _check_f_diagonal(rng, n):
-    m, u = random_metric(rng, n), random_vector(rng, n)
-    ref = 2.0 * g_inner(m, u, q_apply(u))
-    return _worst(_rel(f_inner(m, u, u) - ref, ref)), n
-
-
-def _check_f_shifted_pair(rng, n):
-    m, u = random_metric(rng, n), random_vector(rng, n)
-    ref = g_inner(m, u, u) + g_inner(m, u, q_apply(u))
-    return _worst(_rel(f_inner(m, u, q_apply(u)) - ref, ref)), n
-
-
-def _check_f_symmetric(rng, n):
-    m, u, v = random_metric(rng, n), random_vector(rng, n), random_vector(rng, n)
-    fuv = f_inner(m, u, v)
-    return _worst(_rel(f_inner(m, v, u) - fuv, fuv)), n
-
-
-def _check_f_shift_invariant(rng, n):
-    m, u, v = random_metric(rng, n), random_vector(rng, n), random_vector(rng, n)
-    fuv = f_inner(m, u, v)
-    return _worst(_rel(f_inner(m, q_apply(u), q_apply(v)) - fuv, fuv)), n
-
-
 def _check_cos_range(rng, n):
     c = cos_phi(random_metric(rng, n), random_vector(rng, n))
     return _worst(c - 1.0, -0.5 - c), n
-
-
-def _check_f_norm_cos(rng, n):
-    m, u = random_metric(rng, n), random_vector(rng, n)
-    ref = 2.0 * g_inner(m, u, u) * cos_phi(m, u)
-    return _worst(_rel(f_inner(m, u, u) - ref, ref)), n
 
 
 def _check_character_shift_invariant(rng, n):
@@ -228,8 +213,7 @@ def _check_qbasis_null(rng, n):
 
 
 def _check_companion_orthonormal(rng, n):
-    m, u = random_metric(rng, n), random_vector(rng, n)
-    m, u = _subset(m, u, _well_conditioned(m) & (cos_phi(m, u) < 1.0 - 1e-2))
+    m, u = _framed(random_metric(rng, n), random_vector(rng, n))
     frame = companion_w(m, u)
     u, w = frame.u, frame.w
     return _worst(np.abs(g_inner(m, u, w)), np.abs(g_inner(m, w, w) - 1.0)), n
@@ -237,11 +221,9 @@ def _check_companion_orthonormal(rng, n):
 
 def _check_companion_scale_invariant(rng, n):
     m, u = random_metric(rng, n), random_vector(rng, n)
-    scaled = rng.uniform(0.1, 10.0, size=(n, 1)) * u
-    keep = _well_conditioned(m) & (cos_phi(m, u) < 1.0 - 1e-2)
-    m, u = _subset(m, u, keep)
+    m, u, scaled = _framed(m, u, rng.uniform(0.1, 10.0, size=(n, 1)) * u)
     w1 = companion_w(m, u).w
-    w2 = companion_w(m, scaled[keep]).w
+    w2 = companion_w(m, scaled).w
     # Relative: near-degenerate metrics make g-unit vectors Euclidean-large.
     return _worst(np.max(np.abs(w1 - w2), axis=-1) / (1.0 + np.max(np.abs(w1), axis=-1))), n
 
@@ -254,19 +236,6 @@ def _check_rotation_congruence(rng, trials):
     coeff = np.ones((3, 3)) - np.eye(3)  # matrix of the form 2(xy + xz + yz)
     target = np.diag([-1.0, -1.0, 2.0])
     return _worst(np.abs(ROTATION.T @ coeff @ ROTATION - target)), 1
-
-
-def _check_form_transport(rng, n):
-    v = random_vector(rng, n)
-    value = sphere_form_value(v)
-    return _worst(_rel(primed_form_value(to_primed(v)) - value, value)), n
-
-
-def _check_identity_metric_consistency(rng, n):
-    m = CirculantMetric(1.0, 0.0)  # standard basis is orthonormal for this g
-    v = random_vector(rng, n)
-    ref = sphere_form_value(v)
-    return _worst(_rel(f_inner(m, v, v) - ref, ref)), n
 
 
 def _check_quadric_table(rng, trials):
@@ -304,33 +273,23 @@ def _check_mesh_on_surface(rng, trials):
     return worst, count
 
 
-def _check_conic_coefficient_consistency(rng, n):
-    c = np.cos(_phi_grid(n))
+def _coefficients_vs_frame(c):
     f_uu, f_uw, f_ww = plane_f_values(c)
     k = conic_coefficients(ConicSpec(c, 1.0))
-    residuals = _rel(f_uu - 2.0 * k.A, f_uu), _rel(f_uw - k.B, f_uw), _rel(f_ww - 2.0 * k.C, f_ww)
-    return _worst(*residuals), n
+    return _worst(_rel(f_uu - 2.0 * k.A, f_uu), _rel(f_uw - k.B, f_uw), _rel(f_ww - 2.0 * k.C, f_ww))
 
 
 def _check_conic_frame_realization(rng, n):
-    m, u = random_metric(rng, n), random_vector(rng, n)
-    c = cos_phi(m, u)
-    m, u = _subset(m, u, _well_conditioned(m) & (c < 1.0 - 1e-2) & (c > -0.5 + 1e-9))
+    m, u = _framed(random_metric(rng, n), random_vector(rng, n), above=-0.5 + 1e-9)
     frame = companion_w(m, u)
     pairs = ((frame.u, frame.u), (frame.u, frame.w), (frame.w, frame.w))
     refs = plane_f_values(np.cos(frame.phi))
     return _worst(*(_rel(f_inner(m, x, y) - ref, ref) for (x, y), ref in zip(pairs, refs))), n
 
 
-def _check_discriminant_closed_form(rng, n):
-    c = np.cos(_phi_grid(n))
-    return _worst(np.abs(discriminant(ConicSpec(c, 1.0)) - discriminant_closed_form(c))), n
-
-
-def _check_discriminant_sign_agreement(rng, n):
-    c = np.cos(_phi_grid(n))
+def _discriminant_signs_differ(c):
     differ = np.sign(discriminant(ConicSpec(c, 1.0))) != np.sign(discriminant_sign_form(c))
-    return float(np.any(differ & (np.abs(1.0 + 3.0 * c) > 1e-9))), n  # off their common zero
+    return float(np.any(differ & (np.abs(1.0 + 3.0 * c) > 1e-9)))  # off their common zero
 
 
 def _check_conic_table(rng, trials):
@@ -395,13 +354,20 @@ def _check_scale_invariance(rng, n):
 # Fixed execution order; names, tolerances and checks stay in lockstep.
 _SUITE: list[tuple[str, float, Check]] = [
     ("shift_cubed_identity", 0.0, _check_shift_cubed),
-    ("isometry", 1e-12, _check_isometry),
-    ("f_diagonal_identity", 1e-12, _check_f_diagonal),
-    ("f_shifted_pair_identity", 1e-12, _check_f_shifted_pair),
-    ("f_symmetric", 1e-12, _check_f_symmetric),
-    ("f_shift_invariant", 1e-12, _check_f_shift_invariant),
+    ("isometry", 1e-12, _identity(
+        "muv", lambda m, u, v: g_inner(m, q_apply(u), q_apply(v)), lambda m, u, v: g_inner(m, u, v))),
+    ("f_diagonal_identity", 1e-12, _identity(
+        "mu", lambda m, u: f_inner(m, u, u), lambda m, u: 2.0 * g_inner(m, u, q_apply(u)))),
+    ("f_shifted_pair_identity", 1e-12, _identity(
+        "mu", lambda m, u: f_inner(m, u, q_apply(u)),
+        lambda m, u: g_inner(m, u, u) + g_inner(m, u, q_apply(u)))),
+    ("f_symmetric", 1e-12, _identity(
+        "muv", lambda m, u, v: f_inner(m, v, u), lambda m, u, v: f_inner(m, u, v))),
+    ("f_shift_invariant", 1e-12, _identity(
+        "muv", lambda m, u, v: f_inner(m, q_apply(u), q_apply(v)), lambda m, u, v: f_inner(m, u, v))),
     ("cos_phi_range", 1e-12, _check_cos_range),
-    ("f_equals_2norm2_cos", 1e-12, _check_f_norm_cos),
+    ("f_equals_2norm2_cos", 1e-12, _identity(
+        "mu", lambda m, u: f_inner(m, u, u), lambda m, u: 2.0 * g_inner(m, u, u) * cos_phi(m, u))),
     ("character_shift_invariant", 0.0, _check_character_shift_invariant),
     ("g_inner_vs_dense_oracle", 1e-13, _check_dense_inner),
     ("qbasis_gram_identity", 1e-10, _check_qbasis_gram),
@@ -410,15 +376,19 @@ _SUITE: list[tuple[str, float, Check]] = [
     ("companion_scale_invariant", 1e-12, _check_companion_scale_invariant),
     ("rotation_orthogonal", 1e-15, _check_rotation_orthogonal),
     ("rotation_congruence", 1e-14, _check_rotation_congruence),
-    ("form_transport", 1e-12, _check_form_transport),
-    ("identity_metric_consistency", 1e-12, _check_identity_metric_consistency),
+    ("form_transport", 1e-12, _identity(
+        "v", lambda v: primed_form_value(to_primed(v)), lambda v: sphere_form_value(v))),
+    # The standard basis is orthonormal for the identity metric.
+    ("identity_metric_consistency", 1e-12, _identity(
+        "v", lambda v: f_inner(CirculantMetric(1.0, 0.0), v, v), lambda v: sphere_form_value(v))),
     ("quadric_class_table", 0.0, _check_quadric_table),
     ("cone_sphere_circles", 1e-12, _check_cone_circles),
     ("mesh_on_surface", 1e-9, _check_mesh_on_surface),
-    ("conic_coefficient_consistency", 1e-12, _check_conic_coefficient_consistency),
+    ("conic_coefficient_consistency", 1e-12, _on_phi_grid(_coefficients_vs_frame)),
     ("conic_frame_realization", 1e-12, _check_conic_frame_realization),
-    ("discriminant_closed_form", 1e-10, _check_discriminant_closed_form),
-    ("discriminant_sign_vs_alt_form", 0.0, _check_discriminant_sign_agreement),
+    ("discriminant_closed_form", 1e-10, _on_phi_grid(
+        lambda c: _worst(np.abs(discriminant(ConicSpec(c, 1.0)) - discriminant_closed_form(c))))),
+    ("discriminant_sign_vs_alt_form", 0.0, _on_phi_grid(_discriminant_signs_differ)),
     ("conic_class_table", 0.0, _check_conic_table),
     ("degenerate_expansion", 1e-12, _check_degenerate_expansion),
     ("circle_realization", 1e-12, _check_circle_realization),

@@ -5,10 +5,6 @@ lines; every tolerance is pinned here, nothing is deferred.
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -48,7 +44,6 @@ from circgeo import (
 )
 from circgeo.oracle import random_metric, random_vector
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 AXIS = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
 SEED_DIR = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
 IDENTITY = CirculantMetric(1.0, 0.0)
@@ -57,18 +52,6 @@ IDENTITY = CirculantMetric(1.0, 0.0)
 def report(number, name, ok):
     print(f"criterion {number:>2} {name}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {number} ({name}) failed"
-
-
-def run_cli(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "circgeo", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
 
 
 def vector_with_cos(c):
@@ -139,7 +122,7 @@ def test_criterion_05_rotation():
     report(5, "rotation orthogonality, congruence, form transport", ok)
 
 
-def test_criterion_06_quadric_classification():
+def test_criterion_06_quadric_classification(run_main):
     table = {
         2.0: (QuadricClass.TWO_SHEETS, CausalCharacter.SPACELIKE, "x'^2+y'^2-2z'^2 = -2"),
         0.0: (QuadricClass.CONE, CausalCharacter.NULL, "x'^2+y'^2-2z'^2 = 0"),
@@ -151,7 +134,7 @@ def test_criterion_06_quadric_classification():
         ok &= classify_quadric(spec) is kind
         ok &= radius_vector_character(spec) is char
         ok &= quadric_equation(spec) == equation
-        cli = run_cli("quadric", "--r2", repr(r2))
+        cli = run_main("quadric", "--r2", repr(r2))
         ok &= cli.returncode == 0 and equation in cli.stdout
     report(6, "quadric classes, equations, radius characters", ok)
 
@@ -257,25 +240,25 @@ def test_criterion_13_largest_angle_cases():
     report(13, "largest-angle circle, point and empty cases", ok)
 
 
-def test_criterion_14_cli_determinism_and_formats(tmp_path):
+def test_criterion_14_cli_determinism_and_formats(tmp_path, run_main):
     ok = True
     # Batch: 5 rows in, 5 rows out, order preserved.
     csv = tmp_path / "batch.csv"
     out = tmp_path / "report.txt"
     csv.write_text("x,y,z\n1,2,3\n4,5,6\n1,0,0\n1,-1,0\n2,2,2\n", encoding="utf-8")
-    batch = run_cli("classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(out))
+    batch = run_main("classify-batch", "--metric", "1,0", "--input", str(csv), "--output", str(out))
     ok &= batch.returncode == 0
     rows = [line for line in out.read_text(encoding="utf-8").splitlines() if line.startswith("row ")]
     ok &= len(rows) == 5
     ok &= all(f"index={i} " in row for i, row in enumerate(rows))
     # Verification runs are byte-identical and green.
-    first = run_cli("verify", "--seed", "42", "--trials", "1000")
-    second = run_cli("verify", "--seed", "42", "--trials", "1000")
+    first = run_main("verify", "--seed", "42", "--trials", "1000")
+    second = run_main("verify", "--seed", "42", "--trials", "1000")
     ok &= first.returncode == 0 and second.returncode == 0
     ok &= first.stdout == second.stdout
     # Malformed CSV names the offending line and exits 2.
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y,z\n1,2,3\nbroken,row\n", encoding="utf-8")
-    failed = run_cli("classify-batch", "--metric", "1,0", "--input", str(bad), "--output", str(out))
+    failed = run_main("classify-batch", "--metric", "1,0", "--input", str(bad), "--output", str(out))
     ok &= failed.returncode == 2 and "line 3" in failed.stderr
     report(14, "CLI batch order, verify determinism, error reporting", ok)

@@ -8,9 +8,6 @@ point, no traceback, and an empty stdout before a failed --mesh).
 
 import hashlib
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,35 +17,7 @@ from hypothesis import strategies as st
 
 from circgeo import cli, fmt_float
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).resolve().parent / "data"
-
-
-def run_cli(*args, timeout=120):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "circgeo", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-    )
-
-
-@pytest.fixture
-def run_main(capsys):
-    """run_cli's result from cli.main in this process."""
-
-    def run(*args):
-        try:
-            code = cli.main(list(args))
-        except SystemExit as exc:  # argparse rejects the flags
-            code = exc.code
-        out, err = capsys.readouterr()
-        return subprocess.CompletedProcess(args, code, out, err)
-
-    return run
 
 
 # ---------------------------------------------------------------- classify
@@ -184,7 +153,7 @@ def test_batch_bad_header_exits_2(tmp_path, run_main):
     assert "line 1" in result.stderr
 
 
-def test_batch_unwritable_output_exits_2(tmp_path):
+def test_batch_unwritable_output_exits_2(tmp_path, run_cli):
     csv = tmp_path / "rows.csv"
     csv.write_text("x,y,z\n1,2,3\n", encoding="utf-8")
     out = tmp_path / "missing" / "report.txt"
@@ -306,7 +275,7 @@ def test_qbasis_invalid_metric(run_main):
     assert run_main("qbasis", "--metric", "1,1").returncode == 2
 
 
-def test_qbasis_near_float_max_metric():
+def test_qbasis_near_float_max_metric(run_cli):
     # a + 2b overflows unscaled, which once exited 2 with a numpy warning.
     result = run_cli("qbasis", "--metric", "1e308,5e307")
     assert result.returncode == 0
@@ -388,15 +357,22 @@ def test_fmt_column_matches_fmt_float(pool, n, seed):
 
 def test_quadric_bad_samples_exit_2(tmp_path, run_main):
     mesh = tmp_path / "out.obj"
-    for flags in (["--samples", "1,2"], ["--samples", "1,3"], ["--t-max", "inf"]):
-        result = run_main("quadric", "--r2", "1", "--mesh", str(mesh), *flags)
+    with_mesh = ["--mesh", str(mesh)]
+    for flags in (
+        [*with_mesh, "--samples", "1,2"],
+        [*with_mesh, "--samples", "1,3"],
+        [*with_mesh, "--t-max", "inf"],
+        ["--samples", "bad,x"],  # parsed without --mesh too
+    ):
+        result = run_main("quadric", "--r2", "1", *flags)
         assert result.returncode == 2
         assert result.stdout == ""
         assert "error:" in result.stderr
         assert not mesh.exists()
+    assert result.stderr == "error: --samples expects 'NS,NT', got 'bad,x'\n"
 
 
-def test_quadric_unwritable_mesh_exits_2_before_output(tmp_path):
+def test_quadric_unwritable_mesh_exits_2_before_output(tmp_path, run_cli):
     mesh = tmp_path / "missing" / "out.obj"
     result = run_cli("quadric", "--r2", "1", "--mesh", str(mesh))
     assert result.returncode == 2
@@ -498,7 +474,7 @@ def test_verify_small_run_passes(run_main):
     assert "result=pass" in result.stdout
 
 
-def test_verify_deterministic_bytes():
+def test_verify_deterministic_bytes(run_cli):
     a = run_cli("verify", "--seed", "9", "--trials", "60")
     b = run_cli("verify", "--seed", "9", "--trials", "60")
     assert a.returncode == 0 and b.returncode == 0

@@ -1,5 +1,7 @@
 """Verification harness: samplers, dense oracle, suite determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,19 @@ def test_dense_oracle_residual_passes_on_cancelling_seeds():
     for seed in (70, 1091, 1104, 1342, 1630):
         failed = [r.name for r in run_suite(seed, 1000) if not r.passed]
         assert failed == [], f"seed {seed}: {failed}"
+
+
+# SHA-256 of `verify` stdout: a family that draws, gates or rounds otherwise
+# changes a printed residual.
+VERIFY_SHA256 = {
+    (1, 1000): "60005c12ed7e1ac8baf8b2cc7a321377cbbf56bf4a52ca02f5a2c5e77f8a36b6",
+    (2, 50): "731b8d343122edf8eafcb6082a41c5e385bff3e9e9b56516c16f5bb8e4a01851",
+    (3, 1): "e5f77394a18db296d695d35b9240c8a9da2e8d03be4e4d38ae7735da35ba8555",
+}
+
+
+@pytest.mark.parametrize(("seed", "trials"), list(VERIFY_SHA256))
+def test_verify_golden_digest(run_main, seed, trials):
+    result = run_main("verify", "--seed", str(seed), "--trials", str(trials))
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == VERIFY_SHA256[seed, trials]
