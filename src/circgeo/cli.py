@@ -12,7 +12,10 @@ import argparse
 import contextlib
 import itertools
 import math
+import re
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from .core import (
     CODE_ZERO_VECTOR,
     EPS_ANGLE,
     EPS_NULL,
+    BadSampleCountsError,
     CirculantMetric,
     GeometryError,
     InvariantViolation,
@@ -35,6 +39,7 @@ from .quadrics import (
     QuadricSpec,
     classify_quadric,
     cone_sphere_intersection,
+    mesh_extent,
     quadric_equation,
     radius_vector_character,
     sample_quadric,
@@ -65,6 +70,7 @@ _CHARACTER_NAMES = [c.value for c in CHARACTER_BY_CODE] + ["error:zero-vector", 
 # per block: deduplicating whole columns would save more repr calls but hold
 # every distinct string at once.
 _REPORT_BLOCK = 4096
+_MESH_LINE = "v {} {} {}\n".format
 
 
 def _python_rows(*columns):
@@ -157,23 +163,51 @@ def _cmd_qbasis(args) -> int:
     return 0 if residual <= 1e-10 else 1
 
 
+def _write_mesh(fh, vertices: np.ndarray, spill) -> None:
+    """Write the (N, 3) vertices to fh as 'v x y z' lines, _REPORT_BLOCK rows at a time.
+
+    With a spill file, the second half of the rows repeats the first half's x
+    and y (a two-branch surface's mirror branch): each block's x and y strings
+    then serve both halves, and the mirror lines wait in the spill file until
+    the first half is written.
+    """
+    half = len(vertices) // 2 if spill is not None else len(vertices)
+    for start in range(0, half, _REPORT_BLOCK):
+        stop = min(start + _REPORT_BLOCK, half)
+        x, y, z = map(_fmt_column, vertices[start:stop].T)
+        fh.write("".join(map(_MESH_LINE, x, y, z)))
+        if spill is not None:
+            mirror_z = _fmt_column(vertices[half + start : half + stop, 2])
+            spill.write("".join(map(_MESH_LINE, x, y, mirror_z)))
+        # Freed before the next block is formatted, so memory holds one block's strings.
+        del x, y, z
+    if spill is not None:
+        spill.seek(0)
+        shutil.copyfileobj(spill, fh)
+
+
 def _cmd_quadric(args) -> int:
     spec = QuadricSpec(args.r2)
-    # --samples is parsed, and the mesh sampled and its file opened, first,
-    # so a bad --samples, --t-max or --mesh prints nothing.
-    samples = _parse_numbers("--samples", "NS,NT", args.samples, int)
-    mesh = contextlib.nullcontext()
-    if args.mesh is not None:
-        vertices = sample_quadric(spec, *samples, extent=args.t_max)
-        mesh = open(args.mesh, "w", encoding="utf-8", newline="\n")
-    with mesh as fh:
+    # The flags are checked, and the mesh sampled and its files opened, first,
+    # so a bad flag, an unusable temp directory or --mesh path prints nothing.
+    n_s, n_theta = _parse_numbers("--samples", "NS,NT", args.samples, int)
+    try:
+        extent = mesh_extent(spec, n_s, n_theta, args.t_max)
+        vertices = None if args.mesh is None else sample_quadric(spec, n_s, n_theta, extent)
+    except (BadSampleCountsError, MemoryError) as exc:  # MemoryError: numpy cannot allocate the mesh
+        raise GeometryError(f"--samples {args.samples}: {exc}") from None
+    with contextlib.ExitStack() as files:
+        if vertices is not None:
+            half = len(vertices) // 2
+            spill = None
+            if np.array_equal(vertices[:half, :2], vertices[half:, :2]):
+                spill = files.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n"))
+            fh = files.enter_context(open(args.mesh, "w", encoding="utf-8", newline="\n"))
         print(f"class={classify_quadric(spec).value}")
         print(f"equation={quadric_equation(spec)}")
         print(f"character={radius_vector_character(spec).value}")
-        if fh is not None:
-            for start in range(0, len(vertices), _REPORT_BLOCK):
-                block = vertices[start : start + _REPORT_BLOCK]
-                fh.write("".join(map("v {} {} {}\n".format, *map(_fmt_column, block.T))))
+        if vertices is not None:
+            _write_mesh(fh, vertices, spill)
     return 0
 
 
@@ -218,8 +252,21 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads '-1,2,3', '-1e5' or '-.5' after a flag as its value.
+
+    argparse's own negative-number test knows only '-1' and '-1.5' and takes
+    the rest for options; no option here starts with '-' and a digit. The
+    subparsers are built from this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circgeo",
         description="Circulant tangent-space geometry: causal classification, "
         "quadric and conic pipelines, verification.",

@@ -41,6 +41,7 @@ __all__ = [
     "cone_sphere_intersection",
     "basis_heads_primed",
     "default_extent",
+    "mesh_extent",
     "sample_quadric",
 ]
 
@@ -164,6 +165,33 @@ def default_extent(r2: float) -> float:
     return 2.0 * max(1.0, math.sqrt(abs(r2)))
 
 
+def mesh_extent(spec: QuadricSpec, n_s: int, n_theta: int, extent: float | None = None) -> float:
+    """The cylindrical-radius reach of an n_s x n_theta mesh of the surface.
+
+    Raises BadSampleCountsError unless n_s >= 2, n_theta >= 3 and numpy can
+    address the mesh, and GeometryError for an extent that is not positive and
+    finite or for which extent/sqrt(|r2|) overflows; `extent` defaults to
+    default_extent(r2).
+    """
+    if n_s < 2 or n_theta < 3:
+        raise BadSampleCountsError(
+            f"need n_s >= 2 and n_theta >= 3, got n_s={n_s}, n_theta={n_theta}"
+        )
+    # Two branches of n_s * n_theta vertices, 3 * 8 bytes each. Past the
+    # address space numpy's sizes wrap (an empty mesh, or an IndexError).
+    if 48 * n_s * n_theta > np.iinfo(np.intp).max:
+        raise BadSampleCountsError(f"a {n_s} x {n_theta} mesh is too large to address")
+    t_max = default_extent(spec.r2) if extent is None else float(extent)
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise GeometryError(f"mesh extent must be positive and finite, got {t_max!r}")
+    cone = classify_quadric(spec) is QuadricClass.CONE
+    if not (cone or math.isfinite(t_max / math.sqrt(abs(spec.r2)))):
+        raise GeometryError(
+            f"mesh extent {t_max!r} is too large for r2 = {spec.r2!r}: extent/sqrt(|r2|) overflows"
+        )
+    return t_max
+
+
 def sample_quadric(
     spec: QuadricSpec, n_s: int, n_theta: int, extent: float | None = None
 ) -> np.ndarray:
@@ -184,23 +212,13 @@ def sample_quadric(
       extent/a when that exceeds 1. Single connected branch.
 
     The profile ranges are chosen so the cylindrical radius reaches `extent`
-    (default 2 * max(1, sqrt(|r2|))); an extent for which extent/sqrt(|r2|)
-    overflows is a GeometryError. Every vertex satisfies the surface
-    equation to a relative 1e-9 by construction.
+    (default 2 * max(1, sqrt(|r2|))); mesh_extent checks the counts and the
+    extent. Every vertex satisfies the surface equation to a relative 1e-9 by
+    construction.
     """
-    if n_s < 2 or n_theta < 3:
-        raise BadSampleCountsError(
-            f"need n_s >= 2 and n_theta >= 3, got n_s={n_s}, n_theta={n_theta}"
-        )
-    t_max = default_extent(spec.r2) if extent is None else float(extent)
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise GeometryError(f"mesh extent must be positive and finite, got {t_max!r}")
+    t_max = mesh_extent(spec, n_s, n_theta, extent)
     kind = classify_quadric(spec)
     a = math.sqrt(abs(spec.r2))
-    if kind is not QuadricClass.CONE and not math.isfinite(t_max / a):
-        raise GeometryError(
-            f"mesh extent {t_max!r} is too large for r2 = {spec.r2!r}: extent/sqrt(|r2|) overflows"
-        )
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     # The profile: one (radius, height) per row.
     if kind is QuadricClass.CONE:

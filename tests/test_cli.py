@@ -8,6 +8,8 @@ point, no traceback, and an empty stdout before a failed --mesh).
 
 import hashlib
 import math
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +326,11 @@ MESH_SHA256 = {
     ("2.5", "2,3"): "2c51a410ec07f3e6bbef2980426d129ebc34655c4bd08fbd4637b31883d401c8",
     ("-1", "2,3"): "19a545968a0228cd664b1cfdc75fd835b82938ec7881a13a7c357fa636ef1493",
     ("1e-300", "2,3"): "cb940e5109d67b91284008f871b5e1a5aed7ee8fe8389e6782b01f38961b005a",
+    # Two-branch meshes whose half is not a multiple of 4096 rows, and an
+    # odd-length one-sheet mesh (65 * 1001 rows).
+    ("0", "65,1000"): "df7c1b5a032aa1299d5b2a0c29a9d1d0adf90611c79a392a57b89ade12cc8f2b",
+    ("2.5", "33,777"): "21108f57b60507cc61f4f188c24878b5758c358343b7ce66e04c86cd5ecdc9eb",
+    ("-1", "65,1001"): "5cfc32af3d7a7e582a83bd36af3e2be7dcec80e6ecc442dab171b918120674f2",
 }
 
 
@@ -362,7 +369,11 @@ def test_quadric_bad_samples_exit_2(tmp_path, run_main):
         [*with_mesh, "--samples", "1,2"],
         [*with_mesh, "--samples", "1,3"],
         [*with_mesh, "--t-max", "inf"],
-        ["--samples", "bad,x"],  # parsed without --mesh too
+        # checked without --mesh too
+        ["--samples", "1,2"],
+        ["--t-max", "inf"],
+        ["--t-max", "-1"],
+        ["--samples", "bad,x"],
     ):
         result = run_main("quadric", "--r2", "1", *flags)
         assert result.returncode == 2
@@ -370,6 +381,74 @@ def test_quadric_bad_samples_exit_2(tmp_path, run_main):
         assert "error:" in result.stderr
         assert not mesh.exists()
     assert result.stderr == "error: --samples expects 'NS,NT', got 'bad,x'\n"
+
+
+def _overcommit_refuses_huge_allocations():
+    """True where an allocation beyond the machine's memory fails at once
+    (Linux overcommit heuristic or strict mode) instead of being granted."""
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() in ("0", "2")
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        # beyond the address space: rejected before numpy sees them (2**63
+        # rows once raised IndexError, 2**63 - 1 columns wrote an empty mesh)
+        "2,100000000000000000000",
+        "9223372036854775808,3",
+        "2,9223372036854775807",
+        pytest.param("2,1000000000000", marks=pytest.mark.skipif(
+            not _overcommit_refuses_huge_allocations(), reason="a 7 TiB allocation might be granted")),
+        pytest.param("3000000000000,3", marks=pytest.mark.skipif(
+            not _overcommit_refuses_huge_allocations(), reason="a 22 TiB allocation might be granted")),
+    ],
+)
+def test_quadric_huge_samples_exit_2(tmp_path, run_main, samples):
+    mesh = tmp_path / "out.obj"
+    result = run_main("quadric", "--r2", "1", "--mesh", str(mesh), "--samples", samples)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: --samples {samples}: ")
+    assert result.stderr.count("\n") == 1
+    assert not mesh.exists()
+
+
+def test_quadric_mesh_without_temp_dir(tmp_path, run_main, monkeypatch):
+    # A two-branch mesh stages its mirror branch in a temp file; with no
+    # usable temp directory it exits 2 before printing or creating the mesh.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    mesh = tmp_path / "out.obj"
+    result = run_main("quadric", "--r2", "2.5", "--mesh", str(mesh), "--samples", "4,8")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert not mesh.exists()
+    # The one-sheet surface has no mirror branch and needs no temp file.
+    result = run_main("quadric", "--r2", "-1", "--mesh", str(mesh), "--samples", "4,8")
+    assert result.returncode == 0
+    assert len(mesh.read_text(encoding="utf-8").splitlines()) == 4 * 8
+
+
+def _mesh_write_peak(path, r2, samples):
+    """Peak bytes tracemalloc sees while cli.main writes one mesh."""
+    tracemalloc.start()
+    try:
+        assert cli.main(["quadric", f"--r2={r2}", "--mesh", str(path), "--samples", samples]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadric_mirror_branch_does_not_hold_its_lines(tmp_path, capsys):
+    # Both meshes have 65,536 vertices. The two-sheet one keeps its mirror
+    # lines in a spill file, not in memory, so its peak stays near the
+    # one-sheet peak; holding the mirror text in memory reads ~1.6x.
+    two_sheets = _mesh_write_peak(tmp_path / "two.obj", "2.5", "32,1024")
+    one_sheet = _mesh_write_peak(tmp_path / "one.obj", "-1", "64,1024")
+    assert two_sheets <= 1.2 * one_sheet, (two_sheets, one_sheet)
 
 
 def test_quadric_unwritable_mesh_exits_2_before_output(tmp_path, run_cli):
@@ -402,6 +481,26 @@ def test_flag_parse_errors_name_flag_form_and_text(tmp_path, run_main):
         result = run_main(*args)
         assert result.returncode == 2
         assert result.stderr == f"error: {message}\n"
+
+
+def test_negative_values_parse_like_the_equals_form(run_main):
+    for command, *pairs in (
+        ("classify", ("--metric", "1,0"), ("--vector", "-1,2,3")),
+        ("classify", ("--metric", "1,0"), ("--vector", "-1e-3,2,3")),
+        ("classify", ("--metric", "-1,0"), ("--vector", "1,2,3")),  # exits 2: not positive definite
+        ("quadric", ("--r2", "-1e5")),
+        ("quadric", ("--r2", "-1e-3")),
+        ("conic", ("--cos-phi", "-2.5e-1"), ("--r2", "-1")),
+        ("conic", ("--cos-phi", "-.5"), ("--r2", "-1e5")),
+    ):
+        spaced = run_main(command, *(word for pair in pairs for word in pair))
+        equals = run_main(command, *(f"{flag}={value}" for flag, value in pairs))
+        assert "expected one argument" not in spaced.stderr, pairs
+        assert (spaced.returncode, spaced.stdout, spaced.stderr) == (
+            equals.returncode, equals.stdout, equals.stderr), pairs
+    help_text = run_main("quadric", "-h")
+    assert help_text.returncode == 0
+    assert help_text.stdout.startswith("usage: circgeo quadric")
 
 
 # ---------------------------------------------------------------- conic

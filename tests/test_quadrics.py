@@ -191,6 +191,8 @@ def test_mesh_bad_sample_counts():
         sample_quadric(QuadricSpec(1.0), 1, 8)
     with pytest.raises(BadSampleCountsError):
         sample_quadric(QuadricSpec(1.0), 4, 2)
+    with pytest.raises(BadSampleCountsError, match="too large to address"):
+        sample_quadric(QuadricSpec(1.0), 2, 2**63 - 1)  # numpy returned an empty mesh
 
 
 @pytest.mark.parametrize("r2", [1e-8, -1e-8])
