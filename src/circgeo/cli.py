@@ -25,6 +25,7 @@ from .core import (
     EPS_ANGLE,
     EPS_NULL,
     BadSampleCountsError,
+    BadTrialCountError,
     CirculantMetric,
     GeometryError,
     InvariantViolation,
@@ -70,7 +71,6 @@ _CHARACTER_NAMES = [c.value for c in CHARACTER_BY_CODE] + ["error:zero-vector", 
 # per block: deduplicating whole columns would save more repr calls but hold
 # every distinct string at once.
 _REPORT_BLOCK = 4096
-_MESH_LINE = "v {} {} {}\n".format
 
 
 def _python_rows(*columns):
@@ -89,6 +89,22 @@ def _fmt_column(column: np.ndarray) -> list[str]:
     # fmt_float without a Python frame per value.
     strings = list(map(str.removesuffix, map(repr, (unique + 0.0).tolist()), itertools.repeat(".0")))
     return [strings[i] for i in inverse.tolist()]
+
+
+def _mesh_lines(x: list[str], y: list[str], z: list[str]) -> str:
+    """The 'v x y z' lines of three equal-length string columns.
+
+    One str.join over a flat token list: no format call per vertex.
+    """
+    n = len(x)
+    tokens = [None] * (7 * n)
+    tokens[0::7] = ["v "] * n
+    tokens[1::7] = x
+    tokens[2::7] = tokens[4::7] = [" "] * n
+    tokens[3::7] = y
+    tokens[5::7] = z
+    tokens[6::7] = ["\n"] * n
+    return "".join(tokens)
 
 
 def _cmd_classify(args) -> int:
@@ -175,10 +191,10 @@ def _write_mesh(fh, vertices: np.ndarray, spill) -> None:
     for start in range(0, half, _REPORT_BLOCK):
         stop = min(start + _REPORT_BLOCK, half)
         x, y, z = map(_fmt_column, vertices[start:stop].T)
-        fh.write("".join(map(_MESH_LINE, x, y, z)))
+        fh.write(_mesh_lines(x, y, z))
         if spill is not None:
             mirror_z = _fmt_column(vertices[half + start : half + stop, 2])
-            spill.write("".join(map(_MESH_LINE, x, y, mirror_z)))
+            spill.write(_mesh_lines(x, y, mirror_z))
         # Freed before the next block is formatted, so memory holds one block's strings.
         del x, y, z
     if spill is not None:
@@ -237,7 +253,10 @@ def _cmd_intersect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_suite(args.seed, args.trials)
+    try:
+        reports = run_suite(args.seed, args.trials)
+    except (BadTrialCountError, MemoryError) as exc:  # MemoryError: numpy cannot allocate the trials
+        raise GeometryError(f"--trials {args.trials}: {exc}") from None
     print(f"seed={args.seed} trials={args.trials}")
     failed = 0
     for r in reports:

@@ -27,6 +27,7 @@ __all__ = [
     "DegenerateAngleError",
     "AngleDomainError",
     "BadSampleCountsError",
+    "BadTrialCountError",
     "InvariantViolation",
     "CausalCharacter",
     "CirculantMetric",
@@ -71,6 +72,10 @@ class AngleDomainError(GeometryError):
 
 class BadSampleCountsError(GeometryError):
     """Surface sampling needs at least 2 profile rows and 3 angular columns."""
+
+
+class BadTrialCountError(GeometryError):
+    """The oracle suite needs at least one trial, and stacks numpy can address."""
 
 
 class InvariantViolation(RuntimeError):

@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     CHARACTER_BY_CODE,
     EPS_NULL,
+    BadTrialCountError,
     CausalCharacter,
     CirculantMetric,
     GeometryError,
@@ -412,7 +413,12 @@ def run_suite(seed: int, trials: int) -> list[OracleReport]:
     if seed < 0:
         raise GeometryError(f"seed must be >= 0, got {seed}")
     if trials < 1:
-        raise GeometryError(f"trials must be >= 1, got {trials}")
+        raise BadTrialCountError(f"trials must be >= 1, got {trials}")
+    # At their peak the checks hold under 576 bytes a trial (tracemalloc), so
+    # below this bound every stack is addressable and too many trials for
+    # memory raise MemoryError; past the address space numpy raises ValueError.
+    if 576 * trials > np.iinfo(np.intp).max:
+        raise BadTrialCountError(f"{trials} trials are too many to address")
     reports = []
     for index, (name, tolerance, check) in enumerate(_SUITE):
         residual, count = check(_stream(seed, index), trials)

@@ -160,6 +160,18 @@ def _math_map(fn, x: np.ndarray) -> np.ndarray:
     return np.array([fn(v) for v in x.tolist()])
 
 
+def _hyperboloid_profile(kind: QuadricClass, a: float, t_max: float, n_s: int):
+    """(radius, height) at n_s equal steps of the hyperboloid's profile
+    parameter s, out to where the radius reaches t_max."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    if kind is QuadricClass.TWO_SHEETS:
+        s = np.linspace(0.0, math.asinh(t_max / a), n_s)
+        return a * _math_map(math.sinh, s), a * inv_sqrt2 * _math_map(math.cosh, s)
+    s_max = math.acosh(max(t_max / a, 1.0))
+    s = np.linspace(-s_max, s_max, n_s)
+    return a * _math_map(math.cosh, s), a * inv_sqrt2 * _math_map(math.sinh, s)
+
+
 def default_extent(r2: float) -> float:
     """Default cylindrical-radius reach of sampled meshes."""
     return 2.0 * max(1.0, math.sqrt(abs(r2)))
@@ -170,8 +182,8 @@ def mesh_extent(spec: QuadricSpec, n_s: int, n_theta: int, extent: float | None 
 
     Raises BadSampleCountsError unless n_s >= 2, n_theta >= 3 and numpy can
     address the mesh, and GeometryError for an extent that is not positive and
-    finite or for which extent/sqrt(|r2|) overflows; `extent` defaults to
-    default_extent(r2).
+    finite, or for which extent/sqrt(|r2|) or the hyperboloid's profile
+    overflows; `extent` defaults to default_extent(r2).
     """
     if n_s < 2 or n_theta < 3:
         raise BadSampleCountsError(
@@ -184,11 +196,19 @@ def mesh_extent(spec: QuadricSpec, n_s: int, n_theta: int, extent: float | None 
     t_max = default_extent(spec.r2) if extent is None else float(extent)
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise GeometryError(f"mesh extent must be positive and finite, got {t_max!r}")
-    cone = classify_quadric(spec) is QuadricClass.CONE
-    if not (cone or math.isfinite(t_max / math.sqrt(abs(spec.r2)))):
-        raise GeometryError(
-            f"mesh extent {t_max!r} is too large for r2 = {spec.r2!r}: extent/sqrt(|r2|) overflows"
-        )
+    kind = classify_quadric(spec)
+    if kind is QuadricClass.CONE:
+        return t_max
+    too_large = f"mesh extent {t_max!r} is too large for r2 = {spec.r2!r}"
+    a = math.sqrt(abs(spec.r2))
+    if not math.isfinite(t_max / a):
+        raise GeometryError(f"{too_large}: extent/sqrt(|r2|) overflows")
+    # The profile peaks at its ends, where rounding can carry a*sinh(asinh(t/a))
+    # or a*cosh(acosh(t/a)) past the largest float.
+    with np.errstate(over="ignore"):
+        ends = _hyperboloid_profile(kind, a, t_max, 2)
+    if not np.isfinite(ends).all():
+        raise GeometryError(f"{too_large}: the profile overflows")
     return t_max
 
 
@@ -218,19 +238,14 @@ def sample_quadric(
     """
     t_max = mesh_extent(spec, n_s, n_theta, extent)
     kind = classify_quadric(spec)
-    a = math.sqrt(abs(spec.r2))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     # The profile: one (radius, height) per row.
     if kind is QuadricClass.CONE:
-        radius = np.linspace(0.0, t_max, n_s)
-        height = radius * inv_sqrt2
-    elif kind is QuadricClass.TWO_SHEETS:
-        s = np.linspace(0.0, math.asinh(t_max / a), n_s)
-        radius, height = a * _math_map(math.sinh, s), a * inv_sqrt2 * _math_map(math.cosh, s)
+        # Only the last step can overflow, and linspace then sets it to t_max.
+        with np.errstate(over="ignore"):
+            radius = np.linspace(0.0, t_max, n_s)
+        height = radius * (1.0 / math.sqrt(2.0))
     else:
-        s_max = math.acosh(max(t_max / a, 1.0))
-        s = np.linspace(-s_max, s_max, n_s)
-        radius, height = a * _math_map(math.cosh, s), a * inv_sqrt2 * _math_map(math.sinh, s)
+        radius, height = _hyperboloid_profile(kind, math.sqrt(abs(spec.r2)), t_max, n_s)
     if kind is not QuadricClass.ONE_SHEET:  # the + branch, then its mirror image
         radius, height = np.concatenate((radius, radius)), np.concatenate((height, -height))
 

@@ -362,6 +362,18 @@ def test_fmt_column_matches_fmt_float(pool, n, seed):
     assert cli._fmt_column(column) == [fmt_float(x) for x in column.tolist()]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    pool=st.lists(st.text(max_size=12), min_size=1, max_size=20),
+    n=st.sampled_from([1, 2, 4095, 4096, 4097]) | st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mesh_lines_match_one_format_per_vertex(pool, n, seed):
+    x, y, z = np.random.default_rng(seed).integers(len(pool), size=(3, n)).tolist()
+    x, y, z = ([pool[i] for i in column] for column in (x, y, z))
+    assert cli._mesh_lines(x, y, z) == "".join(map("v {} {} {}\n".format, x, y, z))
+
+
 def test_quadric_bad_samples_exit_2(tmp_path, run_main):
     mesh = tmp_path / "out.obj"
     with_mesh = ["--mesh", str(mesh)]
@@ -469,6 +481,22 @@ def test_quadric_mesh_extent_overflow_exits_2(tmp_path, r2, run_main):
     assert result.stdout == ""
     assert result.stderr == f"error: mesh extent 1e+308 is too large for r2 = {float(r2)!r}: extent/sqrt(|r2|) overflows\n"
     assert not mesh.exists()
+
+
+def test_quadric_profile_overflow_exits_2(tmp_path, run_main):
+    # t_max / sqrt(r2) is finite, but a*sinh(asinh(t_max/a)) rounds past the
+    # largest float; the mesh once held inf and nan vertices and exited 0.
+    mesh = tmp_path / "t.obj"
+    for flags in (["--mesh", str(mesh)], []):
+        result = run_main("quadric", "--r2", "1.2455470671072877", "--samples", "2,3",
+                          "--t-max", "1.7976931348623157e308", *flags)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: mesh extent 1.7976931348623157e+308 is too large for "
+            "r2 = 1.2455470671072877: the profile overflows\n"
+        )
+        assert not mesh.exists()
 
 
 def test_flag_parse_errors_name_flag_form_and_text(tmp_path, run_main):
@@ -582,6 +610,25 @@ def test_verify_deterministic_bytes(run_cli):
 
 def test_verify_bad_trials_exits_2(run_main):
     assert run_main("verify", "--trials", "0").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "trials",
+    [
+        # Neither count gets allocated: 21.3 PiB of draws, which the
+        # overcommit policy refuses (numpy's MemoryError), and a count past
+        # the address space (numpy's ValueError).
+        pytest.param("1000000000000000", marks=pytest.mark.skipif(
+            not _overcommit_refuses_huge_allocations(), reason="a 21 PiB allocation might be granted")),
+        "100000000000000000000000",
+    ],
+)
+def test_verify_huge_trials_exit_2(run_main, trials):
+    result = run_main("verify", "--trials", trials)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: --trials {trials}: ")
+    assert result.stderr.count("\n") == 1
 
 
 def test_verify_negative_seed_exits_2(run_main):

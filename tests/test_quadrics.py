@@ -1,9 +1,12 @@
 """Rotation, quadric classification, cone-sphere circles, mesh sampling."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circgeo import (
     ROTATION,
@@ -200,3 +203,27 @@ def test_mesh_extent_overflow_raises(r2):
     # extent / sqrt(|r2|) overflows, which would put nan and inf in the mesh.
     with pytest.raises(GeometryError, match="extent"):
         sample_quadric(QuadricSpec(r2), 2, 3, extent=1e308)
+
+
+_DBL_MAX = sys.float_info.max
+# Any magnitude from the smallest subnormal to the largest float.
+_MAGNITUDES = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1024))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r2=st.builds(math.copysign, _MAGNITUDES, st.sampled_from([1.0, -1.0])) | st.just(0.0),
+    t_max=_MAGNITUDES.filter(lambda t: t > 0.0)
+    | st.sampled_from([_DBL_MAX, math.nextafter(_DBL_MAX, 0.0), math.nextafter(math.nextafter(_DBL_MAX, 0.0), 0.0)]),
+    n_s=st.integers(2, 5),
+    n_theta=st.integers(3, 5),
+)
+@example(r2=1.2455470671072877, t_max=_DBL_MAX, n_s=2, n_theta=3)  # wrote inf and nan vertices
+@example(r2=0.0, t_max=_DBL_MAX, n_s=64, n_theta=8)  # linspace warned of an overflow
+def test_mesh_is_finite_or_rejected(r2, t_max, n_s, n_theta):
+    # A numpy RuntimeWarning fails the test too (pyproject.toml).
+    try:
+        vertices = sample_quadric(QuadricSpec(r2), n_s, n_theta, t_max)
+    except GeometryError:
+        return
+    assert np.isfinite(vertices).all()
