@@ -66,17 +66,13 @@ def _vector_line(label: str, v: np.ndarray) -> str:
 
 # Report names of classify_many's character codes.
 _CHARACTER_NAMES = [c.value for c in CHARACTER_BY_CODE] + ["error:zero-vector", "error:non-finite"]
-# Rows a report or mesh turns into Python objects at a time, so peak memory
-# does not grow with the row count. A mesh formats each distinct value once
-# per block: deduplicating whole columns would save more repr calls but hold
-# every distinct string at once.
+# Rows a mesh turns into Python objects at a time, so peak memory does not
+# grow with the row count; a batch report takes half as many, as its lines
+# hold five number strings to a mesh line's three. Both writers format each
+# number column of a block with _fmt_column, one repr per distinct value per
+# block: deduplicating whole columns would save more repr calls but hold every
+# distinct string at once. _lines then joins the block's text once.
 _REPORT_BLOCK = 4096
-
-
-def _python_rows(*columns):
-    """zip(*columns) over Python numbers, converted _REPORT_BLOCK rows at a time."""
-    for start in range(0, len(columns[0]), _REPORT_BLOCK):
-        yield from zip(*(column[start : start + _REPORT_BLOCK].tolist() for column in columns))
 
 
 def _fmt_column(column: np.ndarray) -> list[str]:
@@ -91,19 +87,16 @@ def _fmt_column(column: np.ndarray) -> list[str]:
     return [strings[i] for i in inverse.tolist()]
 
 
-def _mesh_lines(x: list[str], y: list[str], z: list[str]) -> str:
-    """The 'v x y z' lines of three equal-length string columns.
+def _lines(*fields) -> str:
+    """The text of lines made of fields: a str repeats on every line, a list[str] gives one per line.
 
-    One str.join over a flat token list: no format call per vertex.
+    The lists are of equal length, one entry per line. One str.join over a
+    flat token list: no format call per line.
     """
-    n = len(x)
-    tokens = [None] * (7 * n)
-    tokens[0::7] = ["v "] * n
-    tokens[1::7] = x
-    tokens[2::7] = tokens[4::7] = [" "] * n
-    tokens[3::7] = y
-    tokens[5::7] = z
-    tokens[6::7] = ["\n"] * n
+    n = next(len(field) for field in fields if not isinstance(field, str))
+    tokens = [None] * (len(fields) * n)
+    for i, field in enumerate(fields):
+        tokens[i :: len(fields)] = [field] * n if isinstance(field, str) else field
     return "".join(tokens)
 
 
@@ -158,12 +151,19 @@ def _cmd_classify_batch(args) -> int:
         fh.write(f"metric a={fmt_float(metric.a)} b={fmt_float(metric.b)}\n")
         fh.write(f"tolerance eps_null={fmt_float(EPS_NULL)} eps_angle={fmt_float(EPS_ANGLE)}\n")
         fh.write(f"rows n={len(rows)}\n")
-        for index, (x, y, z, c, clamp, k) in enumerate(_python_rows(*rows.T, cos, clamped, code)):
-            fh.write(
-                f"row index={index} x={fmt_float(x)} y={fmt_float(y)} z={fmt_float(z)} "
-                f"cos_phi={fmt_float(c)} phi_rad={fmt_float(math.acos(clamp))} "
-                f"character={_CHARACTER_NAMES[k]}\n"
-            )
+        step = _REPORT_BLOCK // 2
+        for start in range(0, len(rows), step):
+            block = slice(start, start + step)
+            x, y, z = map(_fmt_column, rows[block].T)
+            fh.write(_lines(
+                "row index=", list(map(str, range(start, start + len(x)))),
+                " x=", x, " y=", y, " z=", z,
+                " cos_phi=", _fmt_column(cos[block]),
+                # math.acos, not np.arccos, which can differ in the last bit.
+                " phi_rad=", _fmt_column(np.array(list(map(math.acos, clamped[block].tolist())))),
+                " character=", [_CHARACTER_NAMES[k] for k in code[block].tolist()],
+                "\n",
+            ))
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
@@ -191,10 +191,10 @@ def _write_mesh(fh, vertices: np.ndarray, spill) -> None:
     for start in range(0, half, _REPORT_BLOCK):
         stop = min(start + _REPORT_BLOCK, half)
         x, y, z = map(_fmt_column, vertices[start:stop].T)
-        fh.write(_mesh_lines(x, y, z))
+        fh.write(_lines("v ", x, " ", y, " ", z, "\n"))
         if spill is not None:
             mirror_z = _fmt_column(vertices[half + start : half + stop, 2])
-            spill.write(_mesh_lines(x, y, mirror_z))
+            spill.write(_lines("v ", x, " ", y, " ", mirror_z, "\n"))
         # Freed before the next block is formatted, so memory holds one block's strings.
         del x, y, z
     if spill is not None:
@@ -343,7 +343,3 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,6 +8,7 @@ point, no traceback, and an empty stdout before a failed --mesh).
 
 import hashlib
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -254,6 +255,40 @@ def test_batch_non_finite_rows_are_row_errors(tmp_path, run_main):
     assert (rows[1]["x"], rows[2]["y"], rows[3]["x"]) == ("nan", "inf", "-inf")
 
 
+def test_batch_report_across_block_edges(tmp_path, run_main):
+    # 8,193 rows end one row past a multiple of 4096, so they cross the edges
+    # of the writers' 2048- and 4096-row blocks. The rows at two edges are
+    # zero, signed-zero and subnormal, non-finite, and scaled by 2**1000 and
+    # 2**-1000. The report must read as one fmt_float-per-cell line per row.
+    from circgeo import CHARACTER_BY_CODE, CirculantMetric, classify_many
+
+    rows = np.random.default_rng(5).uniform(-10.0, 10.0, size=(8193, 3))
+    rows[4095] = 0.0
+    rows[4096] = (-0.0, 5e-324, -2.5e-310)
+    rows[4097] = (math.nan, math.inf, -math.inf)
+    rows[8191] = np.ldexp(rows[8191], 1000)
+    rows[8192] = np.ldexp(rows[8192], -1000)
+    csv = tmp_path / "rows.csv"
+    out = tmp_path / "report.txt"
+    csv.write_text("x,y,z\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in rows.tolist()), encoding="utf-8")
+    result = run_main("classify-batch", "--metric", "2,0.5", "--input", str(csv), "--output", str(out))
+    assert (result.returncode, result.stdout) == (0, f"wrote 8193 rows to {out}\n")
+    cos, code, _ = classify_many(CirculantMetric(2.0, 0.5), rows)
+    clamped = np.clip(cos, -0.5, 1.0)
+    names = [c.value for c in CHARACTER_BY_CODE] + ["error:zero-vector", "error:non-finite"]
+    expected = [
+        f"row index={index} x={fmt_float(x)} y={fmt_float(y)} z={fmt_float(z)} "
+        f"cos_phi={fmt_float(c)} phi_rad={fmt_float(math.acos(clamp))} character={names[k]}\n"
+        for index, ((x, y, z), c, clamp, k) in enumerate(
+            zip(rows.tolist(), cos.tolist(), clamped.tolist(), code.tolist())
+        )
+    ]
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[2] == "rows n=8193\n"
+    assert lines[3:] == expected
+    assert [names[k] for k in code[4095:4098]] == ["error:zero-vector", "spacelike", "error:non-finite"]
+
+
 # ---------------------------------------------------------------- qbasis
 
 
@@ -299,6 +334,16 @@ def test_quadric_two_sheets_equation(run_main):
     result = run_main("quadric", "--r2", "2")
     assert "class=two-sheets" in result.stdout
     assert "x'^2+y'^2-2z'^2 = -2" in result.stdout
+
+
+@pytest.mark.parametrize("r2", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("mesh", [False, True])
+def test_quadric_non_finite_r2_exits_2(tmp_path, run_main, r2, mesh):
+    path = tmp_path / "out.obj"
+    result = run_main("quadric", f"--r2={r2}", *(["--mesh", str(path)] if mesh else []))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: quadric level constant must be finite\n"
+    assert not path.exists()
 
 
 def test_quadric_mesh_file(tmp_path, run_main):
@@ -365,13 +410,20 @@ def test_fmt_column_matches_fmt_float(pool, n, seed):
 @settings(max_examples=100, deadline=None)
 @given(
     pool=st.lists(st.text(max_size=12), min_size=1, max_size=20),
-    n=st.sampled_from([1, 2, 4095, 4096, 4097]) | st.integers(0, 40),
+    n=st.sampled_from([0, 1, 2, 4095, 4096, 4097]) | st.integers(0, 40),
     seed=st.integers(0, 2**32 - 1),
+    # The mesh's line, and the batch report's 15-field line.
+    template=st.sampled_from([
+        "v {} {} {}\n",
+        "row index={} x={} y={} z={} cos_phi={} phi_rad={} character={}\n",
+    ]),
 )
-def test_mesh_lines_match_one_format_per_vertex(pool, n, seed):
-    x, y, z = np.random.default_rng(seed).integers(len(pool), size=(3, n)).tolist()
-    x, y, z = ([pool[i] for i in column] for column in (x, y, z))
-    assert cli._mesh_lines(x, y, z) == "".join(map("v {} {} {}\n".format, x, y, z))
+def test_lines_match_one_format_per_line(pool, n, seed, template):
+    constants = template.split("{}")
+    columns = np.random.default_rng(seed).integers(len(pool), size=(len(constants) - 1, n)).tolist()
+    columns = [[pool[i] for i in column] for column in columns]
+    fields = [field for pair in zip(constants, columns) for field in pair] + constants[-1:]
+    assert cli._lines(*fields) == "".join(map(template.format, *columns))
 
 
 def test_quadric_bad_samples_exit_2(tmp_path, run_main):
@@ -599,6 +651,29 @@ def test_verify_small_run_passes(run_main):
     result = run_main("verify", "--seed", "42", "--trials", "50")
     assert result.returncode == 0
     assert "result=pass" in result.stdout
+
+
+def test_verify_failing_families_exit_1(run_main, monkeypatch):
+    # Two mutants, each caught by one family: a wrong cone-sphere radius and
+    # a sign-flipped alternative discriminant.
+    import dataclasses
+
+    from circgeo import oracle
+
+    circle = oracle.cone_sphere_intersection()
+    wrong_radius = dataclasses.replace(circle, radius_sq=0.7)
+    monkeypatch.setattr(oracle, "cone_sphere_intersection", lambda: wrong_radius)
+    sign_form = oracle.discriminant_sign_form
+    monkeypatch.setattr(oracle, "discriminant_sign_form", lambda c: -sign_form(c))
+    result = run_main("verify", "--seed", "42", "--trials", "50")
+    assert result.returncode == 1
+    first, *lines, last = result.stdout.splitlines()
+    assert (first, last) == ("seed=42 trials=50", "result=fail checks=30 failed=2")
+    fields = [re.fullmatch(r"(ok  |FAIL) (\w+) +trials=\d+ max_residual=\S+ tol=\S+", line) for line in lines]
+    assert all(fields), lines
+    assert [m[2] for m in fields] == list(oracle.SUITE_NAMES)
+    failed = [m[2] for m in fields if m[1] == "FAIL"]
+    assert failed == ["cone_sphere_circles", "discriminant_sign_vs_alt_form"]
 
 
 def test_verify_deterministic_bytes(run_cli):
