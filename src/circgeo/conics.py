@@ -30,7 +30,6 @@ __all__ = [
     "conic_coefficients",
     "discriminant",
     "discriminant_closed_form",
-    "discriminant_sign_form",
     "classify_conic",
     "degenerate_expansion_check",
 ]
@@ -150,7 +149,7 @@ def discriminant(spec: ConicSpec) -> float:
     """B^2 - 4AC of the plane quadratic form.
 
     Algebraically equal to (1 + 3c)/(1 + c); positive iff c > -1/3 on the
-    whole domain. See discriminant_sign_form for an equivalent-sign variant.
+    whole domain.
     """
     k = conic_coefficients(spec)
     return k.B * k.B - 4.0 * k.A * k.C
@@ -159,14 +158,6 @@ def discriminant(spec: ConicSpec) -> float:
 def discriminant_closed_form(c: float) -> float:
     """Closed form (1 + 3c)/(1 + c) of B^2 - 4AC, used as an independent oracle."""
     return (1.0 + 3.0 * c) / (1.0 + c)
-
-
-def discriminant_sign_form(c: float) -> float:
-    """The variant (1 + 3c)/(1 - c): a different magnitude but, both
-    denominators being positive for c in (-1/2, 1), the same sign everywhere
-    on the domain. Reported alongside the computed discriminant so the two
-    conventions stay visibly in agreement."""
-    return (1.0 + 3.0 * c) / (1.0 - c)
 
 
 def _signed_terms(*terms: tuple[float, str]) -> str:

@@ -24,6 +24,7 @@ from .core import (
     CausalCharacter,
     CirculantMetric,
     GeometryError,
+    InvariantViolation,
     classify_many,
     cos_phi,
     f_inner,
@@ -54,7 +55,6 @@ from .conics import (
     degenerate_expansion_check,
     discriminant,
     discriminant_closed_form,
-    discriminant_sign_form,
     plane_f_values,
 )
 
@@ -173,9 +173,9 @@ def _on_phi_grid(residual) -> Check:
     return lambda rng, n: (residual(np.cos(_phi_grid(n))), n)
 
 
-def _check_shift_cubed(rng, n):
-    u = random_vector(rng, n)
-    return _worst(np.abs(q_apply(q_apply(q_apply(u))) - u)), n
+def _table(expected: dict, decide) -> Check:
+    """The family of a decision table: residual 1 unless decide(spec) is expected[spec] for every spec."""
+    return lambda rng, n: (float({spec: decide(spec) for spec in expected} != expected), len(expected))
 
 
 def _check_cos_range(rng, n):
@@ -229,25 +229,20 @@ def _check_companion_scale_invariant(rng, n):
     return _worst(np.max(np.abs(w1 - w2), axis=-1) / (1.0 + np.max(np.abs(w1), axis=-1))), n
 
 
-def _check_rotation_orthogonal(rng, trials):
-    return _worst(np.abs(ROTATION.T @ ROTATION - np.eye(3)), abs(np.linalg.det(ROTATION) - 1.0)), 1
-
-
-def _check_rotation_congruence(rng, trials):
+def _check_rotation_diagonalizes(rng, trials):
     coeff = np.ones((3, 3)) - np.eye(3)  # matrix of the form 2(xy + xz + yz)
-    target = np.diag([-1.0, -1.0, 2.0])
-    return _worst(np.abs(ROTATION.T @ coeff @ ROTATION - target)), 1
+    return _worst(
+        np.abs(ROTATION.T @ ROTATION - np.eye(3)),
+        abs(np.linalg.det(ROTATION) - 1.0),
+        np.abs(ROTATION.T @ coeff @ ROTATION - np.diag([-1.0, -1.0, 2.0])),
+    ), 1
 
 
-def _check_quadric_table(rng, trials):
-    expected = {
-        2.0: (QuadricClass.TWO_SHEETS, CausalCharacter.SPACELIKE),
-        0.0: (QuadricClass.CONE, CausalCharacter.NULL),
-        -1.0: (QuadricClass.ONE_SHEET, CausalCharacter.TIMELIKE),
-    }
-    specs = [QuadricSpec(r2) for r2 in expected]
-    got = {spec.r2: (classify_quadric(spec), radius_vector_character(spec)) for spec in specs}
-    return float(got != expected), len(expected)
+_QUADRIC_TABLE = {
+    QuadricSpec(2.0): (QuadricClass.TWO_SHEETS, CausalCharacter.SPACELIKE),
+    QuadricSpec(0.0): (QuadricClass.CONE, CausalCharacter.NULL),
+    QuadricSpec(-1.0): (QuadricClass.ONE_SHEET, CausalCharacter.TIMELIKE),
+}
 
 
 def _check_cone_circles(rng, trials):
@@ -288,29 +283,20 @@ def _check_conic_frame_realization(rng, n):
     return _worst(*(_rel(f_inner(m, x, y) - ref, ref) for (x, y), ref in zip(pairs, refs))), n
 
 
-def _discriminant_signs_differ(c):
-    differ = np.sign(discriminant(ConicSpec(c, 1.0))) != np.sign(discriminant_sign_form(c))
-    return float(np.any(differ & (np.abs(1.0 + 3.0 * c) > 1e-9)))  # off their common zero
-
-
-def _check_conic_table(rng, trials):
-    third = -1.0 / 3.0
-    cases = {
-        (0.5, 1.5): ConicClass.HYPERBOLA,
-        (0.0, -2.0): ConicClass.HYPERBOLA,
-        (0.5, 0.0): ConicClass.INTERSECTING_LINES,
-        (third, 1.0): ConicClass.NO_REAL_POINTS,
-        (third, 0.0): ConicClass.SINGLE_LINE,
-        (third, -1.0): ConicClass.PARALLEL_LINES,
-        (-0.4, -1.0): ConicClass.ELLIPSE,
-        (-0.4, 0.0): ConicClass.POINT,
-        (-0.4, 1.0): ConicClass.NO_REAL_POINTS,
-        (-0.5, -1.0): ConicClass.CIRCLE,
-        (-0.5, 0.0): ConicClass.POINT,
-        (-0.5, 1.0): ConicClass.NO_REAL_POINTS,
-    }
-    got = {(c, r2): classify_conic(ConicSpec(c, r2)).kind for c, r2 in cases}
-    return float(got != cases), len(cases)
+_CONIC_TABLE = {
+    ConicSpec(0.5, 1.5): ConicClass.HYPERBOLA,
+    ConicSpec(0.0, -2.0): ConicClass.HYPERBOLA,
+    ConicSpec(0.5, 0.0): ConicClass.INTERSECTING_LINES,
+    ConicSpec(-1.0 / 3.0, 1.0): ConicClass.NO_REAL_POINTS,
+    ConicSpec(-1.0 / 3.0, 0.0): ConicClass.SINGLE_LINE,
+    ConicSpec(-1.0 / 3.0, -1.0): ConicClass.PARALLEL_LINES,
+    ConicSpec(-0.4, -1.0): ConicClass.ELLIPSE,
+    ConicSpec(-0.4, 0.0): ConicClass.POINT,
+    ConicSpec(-0.4, 1.0): ConicClass.NO_REAL_POINTS,
+    ConicSpec(-0.5, -1.0): ConicClass.CIRCLE,
+    ConicSpec(-0.5, 0.0): ConicClass.POINT,
+    ConicSpec(-0.5, 1.0): ConicClass.NO_REAL_POINTS,
+}
 
 
 def _check_degenerate_expansion(rng, trials):
@@ -354,7 +340,7 @@ def _check_scale_invariance(rng, n):
 
 # Fixed execution order; names, tolerances and checks stay in lockstep.
 _SUITE: list[tuple[str, float, Check]] = [
-    ("shift_cubed_identity", 0.0, _check_shift_cubed),
+    ("shift_cubed_identity", 0.0, _identity("u", lambda u: q_apply(q_apply(q_apply(u))), lambda u: u)),
     ("isometry", 1e-12, _identity(
         "muv", lambda m, u, v: g_inner(m, q_apply(u), q_apply(v)), lambda m, u, v: g_inner(m, u, v))),
     ("f_diagonal_identity", 1e-12, _identity(
@@ -375,22 +361,21 @@ _SUITE: list[tuple[str, float, Check]] = [
     ("qbasis_vectors_null", 1e-10, _check_qbasis_null),
     ("companion_orthonormal", 1e-12, _check_companion_orthonormal),
     ("companion_scale_invariant", 1e-12, _check_companion_scale_invariant),
-    ("rotation_orthogonal", 1e-15, _check_rotation_orthogonal),
-    ("rotation_congruence", 1e-14, _check_rotation_congruence),
+    ("rotation_diagonalizes", 1e-15, _check_rotation_diagonalizes),
     ("form_transport", 1e-12, _identity(
         "v", lambda v: primed_form_value(to_primed(v)), lambda v: sphere_form_value(v))),
     # The standard basis is orthonormal for the identity metric.
     ("identity_metric_consistency", 1e-12, _identity(
         "v", lambda v: f_inner(CirculantMetric(1.0, 0.0), v, v), lambda v: sphere_form_value(v))),
-    ("quadric_class_table", 0.0, _check_quadric_table),
+    ("quadric_class_table", 0.0, _table(
+        _QUADRIC_TABLE, lambda spec: (classify_quadric(spec), radius_vector_character(spec)))),
     ("cone_sphere_circles", 1e-12, _check_cone_circles),
     ("mesh_on_surface", 1e-9, _check_mesh_on_surface),
     ("conic_coefficient_consistency", 1e-12, _on_phi_grid(_coefficients_vs_frame)),
     ("conic_frame_realization", 1e-12, _check_conic_frame_realization),
     ("discriminant_closed_form", 1e-10, _on_phi_grid(
         lambda c: _worst(np.abs(discriminant(ConicSpec(c, 1.0)) - discriminant_closed_form(c))))),
-    ("discriminant_sign_vs_alt_form", 0.0, _on_phi_grid(_discriminant_signs_differ)),
-    ("conic_class_table", 0.0, _check_conic_table),
+    ("conic_class_table", 0.0, _table(_CONIC_TABLE, lambda spec: classify_conic(spec).kind)),
     ("degenerate_expansion", 1e-12, _check_degenerate_expansion),
     ("circle_realization", 1e-12, _check_circle_realization),
     ("classify_many_vs_dense", 1e-12, _check_classify_many_vs_dense),
@@ -421,7 +406,12 @@ def run_suite(seed: int, trials: int) -> list[OracleReport]:
         raise BadTrialCountError(f"{trials} trials are too many to address")
     reports = []
     for index, (name, tolerance, check) in enumerate(_SUITE):
-        residual, count = check(_stream(seed, index), trials)
+        try:
+            residual, count = check(_stream(seed, index), trials)
+        except (GeometryError, InvariantViolation, ArithmeticError):
+            # A family whose check raises has failed; too many trials for
+            # memory (MemoryError) still propagates.
+            residual, count = float("nan"), 0
         reports.append(
             OracleReport(
                 name=name,

@@ -29,7 +29,6 @@ from circgeo import (
     degenerate_expansion_check,
     discriminant,
     discriminant_closed_form,
-    discriminant_sign_form,
     f_inner,
     g_inner,
     gram_matrix,
@@ -199,7 +198,7 @@ def test_criterion_11_discriminant():
         d = discriminant(ConicSpec(c, 0.0))
         ok &= abs(d - discriminant_closed_form(c)) <= 1e-10
         if abs(1.0 + 3.0 * c) > 1e-9:
-            ok &= np.sign(d) == np.sign(discriminant_sign_form(c))
+            ok &= np.sign(d) == np.sign((1.0 + 3.0 * c) / (1.0 - c))
     ok &= abs(discriminant(ConicSpec(0.0, 0.0)) - 1.0) <= 1e-10
     ok &= abs(discriminant(ConicSpec(-1.0 / 3.0, 0.0))) <= 1e-10
     ok &= abs(discriminant(ConicSpec(-0.5, 0.0)) + 1.0) <= 1e-10

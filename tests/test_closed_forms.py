@@ -53,6 +53,14 @@ def test_discriminant_closed_form():
     assert is_zero(B**2 - 4 * A * C - (1 + 3 * c) / (1 + c))
 
 
+def test_discriminant_has_the_sign_of_the_variant_with_1_minus_c():
+    # (1 + 3c)/(1 + c) and the variant (1 + 3c)/(1 - c) share their sign on
+    # the whole domain [-1/2, 1): both denominators are positive there.
+    domain = sp.Interval.Ropen(sp.Rational(-1, 2), 1)
+    for denominator in (1 + c, 1 - c):
+        assert sp.solveset(denominator <= 0, c, domain) == sp.S.EmptySet
+
+
 def test_plane_f_values_follow_from_the_frame_construction():
     # In the basis (u, qu, q2u) of a g-unit u with g(u, qu) = c, the shift
     # permutes coordinates and, being a g-isometry with q^3 = 1, gives the

@@ -19,7 +19,6 @@ from circgeo import (
     degenerate_expansion_check,
     discriminant,
     discriminant_closed_form,
-    discriminant_sign_form,
     f_inner,
     plane_f_values,
 )
@@ -144,7 +143,7 @@ def test_discriminant_sign_agreement_with_alt_form():
         c = float(np.cos(phi))
         if abs(1.0 + 3.0 * c) <= 1e-9:
             continue
-        assert np.sign(discriminant(ConicSpec(c, 0.0))) == np.sign(discriminant_sign_form(c))
+        assert np.sign(discriminant(ConicSpec(c, 0.0))) == np.sign((1.0 + 3.0 * c) / (1.0 - c))
 
 
 # ---------------------------------------------------------------- classification
