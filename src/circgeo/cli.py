@@ -67,24 +67,29 @@ def _vector_line(label: str, v: np.ndarray) -> str:
 # Report names of classify_many's character codes.
 _CHARACTER_NAMES = [c.value for c in CHARACTER_BY_CODE] + ["error:zero-vector", "error:non-finite"]
 # Rows a mesh turns into Python objects at a time, so peak memory does not
-# grow with the row count; a batch report takes half as many, as its lines
-# hold five number strings to a mesh line's three. Both writers format each
-# number column of a block with _fmt_column, one repr per distinct value per
-# block: deduplicating whole columns would save more repr calls but hold every
-# distinct string at once. _lines then joins the block's text once.
+# grow with the row count (whole columns would hold every string at once); a
+# batch report takes half as many, as its lines hold five number strings to a
+# mesh line's three. Both format a block with _fmt_column (the mesh's x and y
+# together) and join its text once with _lines.
 _REPORT_BLOCK = 4096
 
 
-def _fmt_column(column: np.ndarray) -> list[str]:
-    """fmt_float of each entry of a 1-d float array, calling repr once per distinct value.
+def _fmt_column(block: np.ndarray) -> list[list[str]]:
+    """fmt_float of each column of an (n, k) float block, calling repr once per distinct magnitude.
 
-    np.unique merges -0.0 with 0.0 and every nan with the others, which
-    fmt_float prints alike ('0', 'nan'), so the merge changes no string.
+    A value whose negation is also in the block prints '-' and that string, as
+    repr(-v) is '-' + repr(v). np.unique merges -0.0 with 0.0, and the nans,
+    which fmt_float prints alike.
     """
-    unique, inverse = np.unique(column, return_inverse=True)
+    unique, inverse = np.unique(block, return_inverse=True)
+    partner = np.minimum(np.searchsorted(unique, -unique), len(unique) - 1)  # where -v sorts
+    twin = (unique < 0) & (unique[partner] == -unique)
+    slot = np.cumsum(~twin) - 1  # each other value's place among the strings repr makes
     # fmt_float without a Python frame per value.
-    strings = list(map(str.removesuffix, map(repr, (unique + 0.0).tolist()), itertools.repeat(".0")))
-    return [strings[i] for i in inverse.tolist()]
+    strings = list(map(str.removesuffix, map(repr, (unique[~twin] + 0.0).tolist()), itertools.repeat(".0")))
+    strings += ["-" + strings[k] for k in slot[partner[twin]].tolist()]
+    slot[twin] = np.arange(len(strings) - np.count_nonzero(twin), len(strings))
+    return [[strings[i] for i in column] for column in slot[inverse].T.tolist()]
 
 
 def _lines(*fields) -> str:
@@ -154,13 +159,13 @@ def _cmd_classify_batch(args) -> int:
         step = _REPORT_BLOCK // 2
         for start in range(0, len(rows), step):
             block = slice(start, start + step)
-            x, y, z = map(_fmt_column, rows[block].T)
+            [x], [y], [z] = map(_fmt_column, rows[block].T[:, :, None])
             fh.write(_lines(
                 "row index=", list(map(str, range(start, start + len(x)))),
                 " x=", x, " y=", y, " z=", z,
-                " cos_phi=", _fmt_column(cos[block]),
+                " cos_phi=", *_fmt_column(cos[block, None]),
                 # math.acos, not np.arccos, which can differ in the last bit.
-                " phi_rad=", _fmt_column(np.array(list(map(math.acos, clamped[block].tolist())))),
+                " phi_rad=", *_fmt_column(np.array(list(map(math.acos, clamped[block].tolist())))[:, None]),
                 " character=", [_CHARACTER_NAMES[k] for k in code[block].tolist()],
                 "\n",
             ))
@@ -190,10 +195,10 @@ def _write_mesh(fh, vertices: np.ndarray, spill) -> None:
     half = len(vertices) // 2 if spill is not None else len(vertices)
     for start in range(0, half, _REPORT_BLOCK):
         stop = min(start + _REPORT_BLOCK, half)
-        x, y, z = map(_fmt_column, vertices[start:stop].T)
+        (x, y), [z] = _fmt_column(vertices[start:stop, :2]), _fmt_column(vertices[start:stop, 2:])
         fh.write(_lines("v ", x, " ", y, " ", z, "\n"))
         if spill is not None:
-            mirror_z = _fmt_column(vertices[half + start : half + stop, 2])
+            [mirror_z] = _fmt_column(vertices[half + start : half + stop, 2:])
             spill.write(_lines("v ", x, " ", y, " ", mirror_z, "\n"))
         # Freed before the next block is formatted, so memory holds one block's strings.
         del x, y, z

@@ -387,8 +387,25 @@ def test_quadric_mesh_golden_digest(tmp_path, run_main, r2, samples):
     assert hashlib.sha256(mesh.read_bytes()).hexdigest() == MESH_SHA256[r2, samples]
 
 
-_FMT_EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16, -1e16,
-              math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), 2.0**53, 2.0**53 + 2]
+# The writer's repr calls for a 64 x 1024 mesh, one per distinct magnitude of
+# x and y, and of z, in each 4096-row block: the count is exact, so a writer
+# that formats more than it needs to fails here before any timing shows it.
+@pytest.mark.parametrize(("r2", "calls"), [("0", 69_633), ("2.5", 69_220), ("-1", 71_157)])
+def test_quadric_mesh_repr_calls(tmp_path, run_main, monkeypatch, r2, calls):
+    counted = []
+
+    def counting_repr(value):
+        counted.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    result = run_main("quadric", f"--r2={r2}", "--mesh", str(tmp_path / "out.obj"), "--samples", "64,1024")
+    assert result.returncode == 0
+    assert len(counted) == calls
+
+
+_FMT_EDGES = [0.0, -0.0, math.nan, float(np.copysign(math.nan, -1.0)), math.inf, -math.inf, 5e-324, -5e-324,
+              1e16, -1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), 2.0**53, 2.0**53 + 2]
 
 
 @settings(max_examples=200, deadline=None)
@@ -397,14 +414,16 @@ _FMT_EDGES = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16, -
         st.one_of(st.floats(), st.integers(-(10**17), 10**17).map(float)), max_size=40
     ),
     n=st.sampled_from([0, 1, 4095, 4096, 4097]) | st.integers(0, 40),
+    k=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fmt_column_matches_fmt_float(pool, n, seed):
-    # Values drawn with repeats from a small pool; the column starts with
-    # 0.0 and -0.0, so both zeros share np.unique's one slot.
-    column = np.random.default_rng(seed).choice(np.array(pool + _FMT_EDGES), size=n)
-    column[:2] = [0.0, -0.0][:n]
-    assert cli._fmt_column(column) == [fmt_float(x) for x in column.tolist()]
+def test_fmt_column_matches_fmt_float(pool, n, k, seed):
+    # Values drawn with repeats from a pool closed under negation, so v and -v
+    # share a block and one magnitude; the block starts with 0.0 and -0.0.
+    pool = np.array(pool + _FMT_EDGES)
+    block = np.random.default_rng(seed).choice(np.concatenate((pool, -pool)), size=(n, k))
+    block.flat[:2] = [0.0, -0.0][: block.size]
+    assert cli._fmt_column(block) == [[fmt_float(x) for x in column] for column in block.T.tolist()]
 
 
 # n and the template are parameters, so a failing n shows in the test id.
