@@ -155,9 +155,20 @@ def basis_heads_primed() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _math_map(fn, x: np.ndarray) -> np.ndarray:
-    """fn applied to each entry with the math module, whose sinh and cosh the
-    meshes were made with (numpy's differ in the last bit on some CPUs)."""
+    """fn applied to each entry with the math module, whose sinh, cosh, cos and
+    sin the meshes are made with (numpy's differ in the last bit on some CPUs)."""
     return np.array([fn(v) for v in x.tolist()])
+
+
+def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2*pi*j/n, j = 0..n-1, exact under each symmetry of the circle that maps the grid to
+    itself: in integers, 4j = q*n + r gives q quarter turns and r/n of one; r > n/2 folds to n - r."""
+    q, r = np.divmod(4 * np.arange(n), n)
+    fold, r = 2 * r > n, np.minimum(r, n - r)
+    near, far = (_math_map(fn, (0.5 * math.pi) * (r / n)) for fn in (math.cos, math.sin))
+    near[2 * r == n] = far[2 * r == n] = math.sqrt(0.5)  # one float at pi/4, where cos and sin differ by 1 ulp
+    c, s = np.where(fold, far, near), np.where(fold, near, far)
+    return np.choose(q, [c, -s, -c, s]), np.choose(q, [s, c, -s, -c])
 
 
 def _hyperboloid_profile(kind: QuadricClass, a: float, t_max: float, n_s: int):
@@ -249,7 +260,6 @@ def sample_quadric(
     if kind is not QuadricClass.ONE_SHEET:  # the + branch, then its mirror image
         radius, height = np.concatenate((radius, radius)), np.concatenate((height, -height))
 
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    radius, height = radius[:, None], height[:, None]
-    x, y, z = np.broadcast_arrays(radius * np.cos(theta), radius * np.sin(theta), height)
+    cos, sin = _unit_circle(n_theta)
+    x, y, z = np.broadcast_arrays(radius[:, None] * cos, radius[:, None] * sin, height[:, None])
     return np.stack((x, y, z), axis=-1).reshape(-1, 3)

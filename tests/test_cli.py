@@ -359,23 +359,24 @@ def test_quadric_mesh_file(tmp_path, run_main):
         assert abs(x * x + y * y - 2.0 * z * z - 1.0) <= 1e-9 * 2.0
 
 
-# SHA-256 of the mesh files that the writer formatting one vertex at a time
-# with fmt_float produced; r2 = 1e-300 lies in the null band, so it meshes
+# SHA-256 of the mesh files; r2 = 1e-300 lies in the null band, so it meshes
 # the cone. 64,1024 spans 16 (one sheet) or 32 (two branches) 4096-row blocks.
+# The angles come from quadrics._unit_circle, whose cos and sin keep the
+# circle's symmetries exact; the writer prints each vertex as fmt_float does.
 MESH_SHA256 = {
-    ("0", "64,1024"): "f181cd993379a37e9c587ab1645661f50522fe7289ee7aaacab856e793f86975",
-    ("2.5", "64,1024"): "bd12ab6ccb2156917c091d65038367db063ccdfb240b237c2f9db4291d5fc71b",
-    ("-1", "64,1024"): "cce77bfd9d95edd3baac70e12929ae40c5e8154ce503f44990ba910ec44a3c76",
-    ("1e-300", "64,1024"): "f181cd993379a37e9c587ab1645661f50522fe7289ee7aaacab856e793f86975",
-    ("0", "2,3"): "cb940e5109d67b91284008f871b5e1a5aed7ee8fe8389e6782b01f38961b005a",
-    ("2.5", "2,3"): "2c51a410ec07f3e6bbef2980426d129ebc34655c4bd08fbd4637b31883d401c8",
-    ("-1", "2,3"): "19a545968a0228cd664b1cfdc75fd835b82938ec7881a13a7c357fa636ef1493",
-    ("1e-300", "2,3"): "cb940e5109d67b91284008f871b5e1a5aed7ee8fe8389e6782b01f38961b005a",
+    ("0", "64,1024"): "9dfa1eb92c3e97608c8f7b84af00d7cd56faf8e35e60102c44f7544668d90914",
+    ("2.5", "64,1024"): "9b9b06832932b10c0bb80b902e9b24aada0e687dfa23488e6d569687b00f775c",
+    ("-1", "64,1024"): "fb2a3d814949d1917e12fbd29bab762baf64f762edc3f4019f537dcdf572cdc6",
+    ("1e-300", "64,1024"): "9dfa1eb92c3e97608c8f7b84af00d7cd56faf8e35e60102c44f7544668d90914",
+    ("0", "2,3"): "ccf725c45e06c8c5e05c2c127dc40b818ad2790b02bf579f07d907314acb409d",
+    ("2.5", "2,3"): "2e70898b28abb8b7880ec84ac4e62da5d8f9afbbdcfd6a3f0e276b1444e743ed",
+    ("-1", "2,3"): "9f889e66f083d89d0bcfaa448a2f0191f33350769f785b52c9f7e82d698cc933",
+    ("1e-300", "2,3"): "ccf725c45e06c8c5e05c2c127dc40b818ad2790b02bf579f07d907314acb409d",
     # Two-branch meshes whose half is not a multiple of 4096 rows, and an
     # odd-length one-sheet mesh (65 * 1001 rows).
-    ("0", "65,1000"): "df7c1b5a032aa1299d5b2a0c29a9d1d0adf90611c79a392a57b89ade12cc8f2b",
-    ("2.5", "33,777"): "21108f57b60507cc61f4f188c24878b5758c358343b7ce66e04c86cd5ecdc9eb",
-    ("-1", "65,1001"): "5cfc32af3d7a7e582a83bd36af3e2be7dcec80e6ecc442dab171b918120674f2",
+    ("0", "65,1000"): "cca27425a198c30912e2b42ce7fd19f5753ad5a4074b9c57a6f5c04f8ebf47da",
+    ("2.5", "33,777"): "d038c12209706e25d036f4fe7e97112f3073d23136ab1e78f51a9452f1a58865",
+    ("-1", "65,1001"): "9acf0852209b7fb15fdc8fd0d459945c4d119fe755ca9af1f3d7287f82dc9221",
 }
 
 
@@ -388,9 +389,10 @@ def test_quadric_mesh_golden_digest(tmp_path, run_main, r2, samples):
 
 
 # The writer's repr calls for a 64 x 1024 mesh, one per distinct magnitude of
-# x and y, and of z, in each 4096-row block: the count is exact, so a writer
-# that formats more than it needs to fails here before any timing shows it.
-@pytest.mark.parametrize(("r2", "calls"), [("0", 69_633), ("2.5", 69_220), ("-1", 71_157)])
+# x and y, and of z, in each 4096-row block: with the quarter-turn symmetry of
+# the angle table, ~257 per profile row. The count is exact, so a writer that
+# formats more than it needs to fails here before any timing shows it.
+@pytest.mark.parametrize(("r2", "calls"), [("0", 16_272), ("2.5", 16_272), ("-1", 16_464)])
 def test_quadric_mesh_repr_calls(tmp_path, run_main, monkeypatch, r2, calls):
     counted = []
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -94,6 +95,17 @@ def test_coefficients_frozen():
     assert k.A == 0.5
     assert k.B == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-15)
     assert k.C == pytest.approx(-1.0 / 6.0, abs=1e-16)
+
+
+@pytest.mark.parametrize("phi", [1e-6, 2e-6, 1e-5, 1e-4, 1e-3])
+def test_xy_coefficient_near_phi_min(phi):
+    # B's numerator stays factored: the expanded 1 + c - 2c^2 cancels near
+    # c = 1 and reads 3.3e-13 to 3.3e-9 relative error at these phi, closer
+    # to PHI_MIN than verify's phi grid comes.
+    c = ConicSpec.from_phi(phi, 1.0).cos_phi
+    with mpmath.workdps(50):
+        exact = (1 - mpmath.mpf(c)) * (1 + 2 * mpmath.mpf(c)) / mpmath.sqrt(1 - mpmath.mpf(c) ** 2)
+        assert abs(conic_coefficients(ConicSpec(c, 1.0)).B - exact) <= 1e-15 * exact
 
 
 def test_coefficients_consistent_with_frame_values():

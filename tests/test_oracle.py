@@ -131,7 +131,7 @@ def test_dense_oracle_residual_passes_on_cancelling_seeds():
 # SHA-256 of `verify` stdout: a family that draws, gates or rounds otherwise
 # changes a printed residual.
 VERIFY_SHA256 = {
-    (1, 1000): "7bed0c10a47ba8feffa6b0fb33aca435b8d8cea0b62a9ff0d443c169a4ff78a2",
+    (1, 1000): "ead71ce3f57c1109177e9367ce70826b1cf80c130731f87fac2b1dfabba844d0",
     (2, 50): "4459bd8afdd9694de15cea2e2b9fd73544f0d699fb649f09194581046ab1277c",
     (3, 1): "7b41dfb8957de0a6b5ccf1e86ecf35117489d11c46f36bca2a64061080ff018c",
 }
