@@ -83,8 +83,8 @@ def _fmt_column(block: np.ndarray) -> list[list[str]]:
     """
     unique, inverse = np.unique(block, return_inverse=True)
     partner = np.minimum(np.searchsorted(unique, -unique), len(unique) - 1)  # where -v sorts
-    twin = (unique < 0) & (unique[partner] == -unique)
-    slot = np.cumsum(~twin) - 1  # each other value's place among the strings repr makes
+    twin = (unique < 0) & (unique[partner] == -unique)  # prints '-' and its partner's string
+    slot = np.cumsum(~twin) - 1  # where each value's string goes in strings; the twins' are set below
     # fmt_float without a Python frame per value.
     strings = list(map(str.removesuffix, map(repr, (unique[~twin] + 0.0).tolist()), itertools.repeat(".0")))
     strings += ["-" + strings[k] for k in slot[partner[twin]].tolist()]
