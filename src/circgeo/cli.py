@@ -69,9 +69,20 @@ _CHARACTER_NAMES = [c.value for c in CHARACTER_BY_CODE] + ["error:zero-vector", 
 # Rows a mesh turns into Python objects at a time, so peak memory does not
 # grow with the row count (whole columns would hold every string at once); a
 # batch report takes half as many, as its lines hold five number strings to a
-# mesh line's three. Both format a block with _fmt_column (the mesh's x and y
-# together) and join its text once with _lines.
+# mesh line's three. The mesh formats a block with _fmt_column (x and y
+# together), the report each column with _reprs; both join a block's text
+# once with _lines.
 _REPORT_BLOCK = 4096
+# Bytes of CSV lines parsed at a time, and rows classify_many takes at a time:
+# classify-batch holds one block of Python strings and floats, and one block
+# of classify_many's temporaries, beside its float arrays.
+_PARSE_BLOCK = 1 << 16
+_CLASSIFY_BLOCK = 1 << 16
+
+
+def _reprs(values) -> list[str]:
+    """fmt_float of each value, without a Python frame per value."""
+    return list(map(str.removesuffix, map(repr, np.add(values, 0.0).tolist()), itertools.repeat(".0")))
 
 
 def _fmt_column(block: np.ndarray) -> list[list[str]]:
@@ -85,8 +96,7 @@ def _fmt_column(block: np.ndarray) -> list[list[str]]:
     partner = np.minimum(np.searchsorted(unique, -unique), len(unique) - 1)  # where -v sorts
     twin = (unique < 0) & (unique[partner] == -unique)  # prints '-' and its partner's string
     slot = np.cumsum(~twin) - 1  # where each value's string goes in strings; the twins' are set below
-    # fmt_float without a Python frame per value.
-    strings = list(map(str.removesuffix, map(repr, (unique[~twin] + 0.0).tolist()), itertools.repeat(".0")))
+    strings = _reprs(unique[~twin])
     strings += ["-" + strings[k] for k in slot[partner[twin]].tolist()]
     slot[twin] = np.arange(len(strings) - np.count_nonzero(twin), len(strings))
     return [[strings[i] for i in column] for column in slot[inverse].T.tolist()]
@@ -121,37 +131,64 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _check_line(lineno: int, raw: bytes) -> list[float]:
+    """The three reals of one CSV line; an error names the line."""
+    try:
+        line = raw.decode("utf-8").removesuffix("\n")
+    except UnicodeDecodeError:
+        raise GeometryError(f"line {lineno}: not valid UTF-8") from None
+    parts = line.strip().split(",")
+    if len(parts) != 3:
+        raise GeometryError(f"line {lineno}: expected three comma-separated reals, got {line!r}")
+    try:
+        return list(map(float, parts))
+    except ValueError:
+        raise GeometryError(f"line {lineno}: could not parse {line!r}") from None
+
+
+def _parse_block(raws: list[bytes]) -> np.ndarray:
+    """The (n, 3) reals of n CSV lines in one decode and one conversion.
+
+    np.array calls float() on each token, as _check_line does. Raises
+    ValueError (UnicodeDecodeError is one) where some line is not three
+    reals, which only _check_line names. Lines split on '\n' alone:
+    str.splitlines also splits on '\r', '\x0b', '\x1c' and others.
+    """
+    lines = b"".join(raws).decode("utf-8").removesuffix("\n").split("\n")
+    if set(map(str.count, lines, itertools.repeat(","))) != {2}:
+        raise ValueError("a line without exactly two commas")
+    return np.array(",".join(lines).split(","), dtype=float).reshape(-1, 3)
+
+
 def _read_batch_rows(path: str) -> np.ndarray:
     """The CSV's rows as an (N, 3) float array; every input error names its line."""
     with open(path, "rb") as fh:
-        values = []
-        # Each line is decoded on its own, so a bad byte is blamed on its line.
         # The header comes first even from an empty file, which then fails it.
-        for lineno, raw in enumerate(itertools.chain([fh.readline()], fh), start=1):
+        try:
+            header = fh.readline().decode("utf-8")
+        except UnicodeDecodeError:
+            raise GeometryError("line 1: not valid UTF-8") from None
+        if header.strip() != "x,y,z":
+            raise GeometryError("line 1: expected CSV header 'x,y,z'")
+        blocks, lineno = [], 2
+        for raws in iter(lambda: fh.readlines(_PARSE_BLOCK), []):
             try:
-                line = raw.decode("utf-8").removesuffix("\n")
-            except UnicodeDecodeError:
-                raise GeometryError(f"line {lineno}: not valid UTF-8") from None
-            if lineno == 1:
-                if line.strip() != "x,y,z":
-                    raise GeometryError("line 1: expected CSV header 'x,y,z'")
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != 3:
-                raise GeometryError(f"line {lineno}: expected three comma-separated reals, got {line!r}")
-            try:
-                values.extend(map(float, parts))
-            except ValueError:
-                raise GeometryError(f"line {lineno}: could not parse {line!r}") from None
-    return np.array(values, dtype=float).reshape(-1, 3)
+                blocks.append(_parse_block(raws))
+            except ValueError:  # line by line, so the first bad line is the one named
+                blocks.append(np.array([_check_line(i, raw) for i, raw in enumerate(raws, lineno)]))
+            lineno += len(raws)
+    return np.concatenate(blocks) if blocks else np.empty((0, 3))
 
 
 def _cmd_classify_batch(args) -> int:
     metric = CirculantMetric(*_parse_numbers("--metric", "A,B", args.metric))
     rows = _read_batch_rows(args.input)
-    cos, code, _ = classify_many(metric, rows)
-    # classify_many has range-checked every cosine; nan rows stay nan.
-    clamped = np.clip(cos, -0.5, 1.0)
+    # Every row is classified before the report is opened, so an
+    # InvariantViolation leaves no file behind.
+    cos, code = np.empty(len(rows)), np.empty(len(rows), dtype=np.int8)
+    for start in range(0, len(rows), _CLASSIFY_BLOCK):
+        block = slice(start, start + _CLASSIFY_BLOCK)
+        cos[block], code[block], _ = classify_many(metric, rows[block])
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"metric a={fmt_float(metric.a)} b={fmt_float(metric.b)}\n")
         fh.write(f"tolerance eps_null={fmt_float(EPS_NULL)} eps_angle={fmt_float(EPS_ANGLE)}\n")
@@ -159,13 +196,14 @@ def _cmd_classify_batch(args) -> int:
         step = _REPORT_BLOCK // 2
         for start in range(0, len(rows), step):
             block = slice(start, start + step)
-            [x], [y], [z] = map(_fmt_column, rows[block].T[:, :, None])
+            # classify_many has range-checked every cosine; nan rows stay nan.
+            clamped = np.clip(cos[block], -0.5, 1.0).tolist()
             fh.write(_lines(
-                "row index=", list(map(str, range(start, start + len(x)))),
-                " x=", x, " y=", y, " z=", z,
-                " cos_phi=", *_fmt_column(cos[block, None]),
+                "row index=", list(map(str, range(start, start + len(clamped)))),
+                " x=", _reprs(rows[block, 0]), " y=", _reprs(rows[block, 1]), " z=", _reprs(rows[block, 2]),
+                " cos_phi=", _reprs(cos[block]),
                 # math.acos, not np.arccos, which can differ in the last bit.
-                " phi_rad=", *_fmt_column(np.array(list(map(math.acos, clamped[block].tolist())))[:, None]),
+                " phi_rad=", _reprs(list(map(math.acos, clamped))),
                 " character=", [_CHARACTER_NAMES[k] for k in code[block].tolist()],
                 "\n",
             ))

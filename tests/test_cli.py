@@ -257,8 +257,9 @@ def test_batch_non_finite_rows_are_row_errors(tmp_path, run_main):
 
 def test_batch_report_across_block_edges(tmp_path, run_main):
     # 8,193 rows end one row past a multiple of 4096, so they cross the edges
-    # of the writers' 2048- and 4096-row blocks. The rows at two edges are
-    # zero, signed-zero and subnormal, non-finite, and scaled by 2**1000 and
+    # of the writers' 2048- and 4096-row blocks. The CSV (~490 KB) also spans
+    # ~8 of the parser's 64 KiB blocks. The rows at two edges are zero,
+    # signed-zero and subnormal, non-finite, and scaled by 2**1000 and
     # 2**-1000. The report must read as one fmt_float-per-cell line per row.
     from circgeo import CHARACTER_BY_CODE, CirculantMetric, classify_many
 
@@ -271,6 +272,7 @@ def test_batch_report_across_block_edges(tmp_path, run_main):
     csv = tmp_path / "rows.csv"
     out = tmp_path / "report.txt"
     csv.write_text("x,y,z\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in rows.tolist()), encoding="utf-8")
+    assert csv.stat().st_size > 4 * cli._PARSE_BLOCK
     result = run_main("classify-batch", "--metric", "2,0.5", "--input", str(csv), "--output", str(out))
     assert (result.returncode, result.stdout) == (0, f"wrote 8193 rows to {out}\n")
     cos, code, _ = classify_many(CirculantMetric(2.0, 0.5), rows)
@@ -287,6 +289,109 @@ def test_batch_report_across_block_edges(tmp_path, run_main):
     assert lines[2] == "rows n=8193\n"
     assert lines[3:] == expected
     assert [names[k] for k in code[4095:4098]] == ["error:zero-vector", "spacelike", "error:non-finite"]
+
+
+def _batch_lines(n=6000):
+    """n CSV lines of seeded reals, as bytes without their newlines: ~370 KB, ~6 parse blocks."""
+    rows = np.random.default_rng(14).uniform(-10.0, 10.0, size=(n, 3))
+    return [f"{x!r},{y!r},{z!r}".encode() for x, y, z in rows.tolist()]
+
+
+def _batch_errors(tmp_path, run_main, body):
+    """The exit code and stderr of classify-batch on b'x,y,z\\n' + body; no report may be written."""
+    csv, out = tmp_path / "rows.csv", tmp_path / "report.txt"
+    csv.write_bytes(b"x,y,z\n" + body)
+    result = run_main("classify-batch", "--metric", "2,0.5", "--input", str(csv), "--output", str(out))
+    assert result.stdout == "" and not out.exists()
+    return result.returncode, result.stderr
+
+
+def test_batch_parse_errors_across_read_blocks(tmp_path, run_main):
+    # Each parse block is checked at once and only a failing block line by
+    # line, which must still name the first bad line of the file.
+    lines = _batch_lines()
+    bad = list(lines)
+    bad[5000 - 2] = b"1.5,2.5,nope"  # lines[0] is line 2
+    assert _batch_errors(tmp_path, run_main, b"\n".join(bad) + b"\n") == (
+        2, "error: line 5000: could not parse '1.5,2.5,nope'\n")
+    # A field-count error before a bad byte of the same block is the one named.
+    bad = list(lines)
+    bad[3990 - 2] = b"1.5,2.5"
+    bad[4000 - 2] += b"\xff"
+    with open(tmp_path / "blocks.csv", "wb") as fh:
+        fh.write(b"x,y,z\n" + b"\n".join(bad) + b"\n")
+    with open(tmp_path / "blocks.csv", "rb") as fh:
+        fh.readline()
+        ends = np.cumsum([len(raws) for raws in iter(lambda: fh.readlines(cli._PARSE_BLOCK), [])]) + 1
+    assert len(ends) >= 5 and np.searchsorted(ends, 3990) == np.searchsorted(ends, 4000)
+    assert _batch_errors(tmp_path, run_main, b"\n".join(bad) + b"\n") == (
+        2, "error: line 3990: expected three comma-separated reals, got '1.5,2.5'\n")
+    # Four fields and then two: the block still holds three tokens a line.
+    bad = list(lines)
+    bad[4500 - 2 : 4502 - 2] = [b"1,2,3,4", b"5,6"]
+    assert _batch_errors(tmp_path, run_main, b"\n".join(bad) + b"\n") == (
+        2, "error: line 4500: expected three comma-separated reals, got '1,2,3,4'\n")
+    assert _batch_errors(tmp_path, run_main, b"\n".join(lines) + b"\n\n") == (
+        2, "error: line 6002: expected three comma-separated reals, got ''\n")
+
+
+def test_batch_crlf_without_final_newline(tmp_path, run_main):
+    reports = []
+    for name, body in (("lf", b"\n".join(_batch_lines()) + b"\n"), ("crlf", b"\r\n".join(_batch_lines()))):
+        csv, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
+        csv.write_bytes(b"x,y,z\r\n" + body)
+        result = run_main("classify-batch", "--metric", "2,0.5", "--input", str(csv), "--output", str(out))
+        assert (result.returncode, result.stderr) == (0, "")
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+# Tokens float() reads, some only through its own rules (underscores between
+# digits, Unicode digits and whitespace, any case of inf and nan), and tokens
+# it rejects. The command must read each as float() does, in a bulk block.
+_FLOAT_TOKENS = ["1_0", "١٢٣", "٣.٥", "  5  ", "\x0c2", "infinity", "inF", "-nan", "1e500", "1e-400", "+.5",
+                 "5.", "1\r"]
+_NON_FLOAT_TOKENS = ["_1", "1__0", "0x1p3", "nan(123)", "", " "]
+
+
+@pytest.mark.parametrize("token", _FLOAT_TOKENS)
+def test_batch_tokens_parse_as_float(tmp_path, token):
+    bits = np.array([float(token)] * 3).view(np.int64)
+    line = f"{token},{token},{token}".encode()
+    assert np.array_equal(cli._parse_block([line + b"\n", line]).view(np.int64), np.tile(bits, (2, 1)))
+    csv = tmp_path / "rows.csv"
+    csv.write_bytes(b"x,y,z\n1,2,3\n" + line + b"\n")
+    assert np.array_equal(cli._read_batch_rows(str(csv))[1].view(np.int64), bits)
+
+
+@pytest.mark.parametrize("token", _NON_FLOAT_TOKENS)
+def test_batch_tokens_float_rejects(tmp_path, run_main, token):
+    line = f"1,{token},3"
+    with pytest.raises(ValueError):
+        cli._parse_block([line.encode()])
+    assert _batch_errors(tmp_path, run_main, f"1,2,3\n{line}\n".encode()) == (
+        2, f"error: line 3: could not parse {line!r}\n")
+
+
+def test_batch_memory_is_bounded_per_row(tmp_path, capsys, monkeypatch):
+    # With small blocks, a 20k-row CSV spans many parse, classify and report
+    # blocks, and the command's peak is that of its float arrays and one
+    # block. Parsing into a list of Python floats and classifying all rows
+    # at once read ~144 B/row here; block-wise, ~62 B/row.
+    rows = np.random.default_rng(3).uniform(-10.0, 10.0, size=(20_000, 3))
+    csv = tmp_path / "rows.csv"
+    csv.write_text("x,y,z\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in rows.tolist()), encoding="utf-8")
+    monkeypatch.setattr(cli, "_PARSE_BLOCK", 1 << 12)
+    monkeypatch.setattr(cli, "_CLASSIFY_BLOCK", 1 << 10)
+    monkeypatch.setattr(cli, "_REPORT_BLOCK", 1 << 9)
+    tracemalloc.start()
+    try:
+        code = cli.main(["classify-batch", "--metric", "2,0.5", "--input", str(csv), "--output", str(tmp_path / "r.txt")])
+        per_row = tracemalloc.get_traced_memory()[1] / len(rows)
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert per_row < 80, per_row
 
 
 # ---------------------------------------------------------------- qbasis
@@ -426,6 +531,15 @@ def test_fmt_column_matches_fmt_float(pool, n, k, seed):
     block = np.random.default_rng(seed).choice(np.concatenate((pool, -pool)), size=(n, k))
     block.flat[:2] = [0.0, -0.0][: block.size]
     assert cli._fmt_column(block) == [[fmt_float(x) for x in column] for column in block.T.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=st.lists(st.one_of(st.floats(), st.integers(-(10**17), 10**17).map(float)), max_size=40))
+def test_reprs_match_fmt_float(pool):
+    values = pool + _FMT_EDGES + [-x for x in pool + _FMT_EDGES]
+    expected = [fmt_float(x) for x in values]
+    assert cli._reprs(np.array(values)) == expected
+    assert cli._reprs(values) == expected
 
 
 # n and the template are parameters, so a failing n shows in the test id.
