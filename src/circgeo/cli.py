@@ -150,9 +150,9 @@ def _parse_block(raws: list[bytes]) -> np.ndarray:
     """The (n, 3) reals of n CSV lines in one decode and one conversion.
 
     np.array calls float() on each token, as _check_line does. Raises
-    ValueError (UnicodeDecodeError is one) where some line is not three
-    reals, which only _check_line names. Lines split on '\n' alone:
-    str.splitlines also splits on '\r', '\x0b', '\x1c' and others.
+    ValueError (UnicodeDecodeError is one) where some line needs
+    _check_line, to be named or to be stripped first. Lines split on '\n'
+    alone: str.splitlines also splits on '\r', '\x0b', '\x1c' and others.
     """
     lines = b"".join(raws).decode("utf-8").removesuffix("\n").split("\n")
     if set(map(str.count, lines, itertools.repeat(","))) != {2}:
