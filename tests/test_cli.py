@@ -490,15 +490,22 @@ MESH_SHA256 = {
     ("0", "65,1000"): "cca27425a198c30912e2b42ce7fd19f5753ad5a4074b9c57a6f5c04f8ebf47da",
     ("2.5", "33,777"): "d038c12209706e25d036f4fe7e97112f3073d23136ab1e78f51a9452f1a58865",
     ("-1", "65,1001"): "9acf0852209b7fb15fdc8fd0d459945c4d119fe755ca9af1f3d7287f82dc9221",
+    # A tall, thin two-sheet mesh (8000 rows of 3), an odd n_theta on the one
+    # sheet, and a cone of subnormal extent (third field: --t-max), whose
+    # products r * |cos| underflow to +-0 and print 0.
+    ("2.5", "4000,3"): "2f3b0b7b35be588e49dabc04774c06a62a8fefbb20c399dda794cdbad279a866",
+    ("-1", "301,9"): "8111aebad308262eb03632c841a73d966e78c67e2d82720b466f17771f1c28eb",
+    ("0", "5,7", "5e-324"): "92742c1600dec832d61eac72936c56c7510469a1fad80ae2bdef50cc536e9006",
 }
 
 
-@pytest.mark.parametrize(("r2", "samples"), list(MESH_SHA256))
-def test_quadric_mesh_golden_digest(tmp_path, run_main, r2, samples):
+@pytest.mark.parametrize("key", MESH_SHA256, ids="-".join)
+def test_quadric_mesh_golden_digest(tmp_path, run_main, key):
+    r2, samples, *t_max = key
     mesh = tmp_path / "out.obj"
-    result = run_main("quadric", f"--r2={r2}", "--mesh", str(mesh), "--samples", samples)
+    result = run_main("quadric", f"--r2={r2}", "--mesh", str(mesh), "--samples", samples, *(f"--t-max={t}" for t in t_max))
     assert result.returncode == 0
-    assert hashlib.sha256(mesh.read_bytes()).hexdigest() == MESH_SHA256[r2, samples]
+    assert hashlib.sha256(mesh.read_bytes()).hexdigest() == MESH_SHA256[key]
 
 
 # The writer's repr calls for a 64 x 1024 mesh, one per distinct magnitude of
