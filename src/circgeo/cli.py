@@ -13,9 +13,7 @@ import contextlib
 import itertools
 import math
 import re
-import shutil
 import sys
-import tempfile
 
 import numpy as np
 
@@ -41,9 +39,9 @@ from .quadrics import (
     classify_quadric,
     cone_sphere_intersection,
     mesh_extent,
+    mesh_profile,
     quadric_equation,
     radius_vector_character,
-    sample_quadric,
 )
 from .conics import ConicSpec, classify_conic, conic_coefficients, discriminant
 from .oracle import run_suite
@@ -66,13 +64,13 @@ def _vector_line(label: str, v: np.ndarray) -> str:
 
 # Report names of classify_many's character codes.
 _CHARACTER_NAMES = [c.value for c in CHARACTER_BY_CODE] + ["error:zero-vector", "error:non-finite"]
-# Rows a mesh turns into Python objects at a time, so peak memory does not
-# grow with the row count (whole columns would hold every string at once); a
-# batch report takes half as many, as its lines hold five number strings to a
-# mesh line's three. The mesh formats a block with _fmt_column (x and y
-# together), the report each column with _reprs; both join a block's text
-# once with _lines.
+# Vertices a mesh joins at a time (whole rows, at least this many, or pieces
+# of a wider row), and twice the rows a batch report joins, as its lines hold
+# five number strings: peak memory does not grow with the row count.
 _REPORT_BLOCK = 4096
+# Number strings a mesh keeps for later rows (~10 MB at most), so its memory
+# grows with its rows plus its columns, not their product.
+_MESH_KEPT = 1 << 18
 # Bytes of CSV lines parsed at a time, and rows classify_many takes at a time:
 # classify-batch holds one block of Python strings and floats, and one block
 # of classify_many's temporaries, beside its float arrays.
@@ -83,23 +81,6 @@ _CLASSIFY_BLOCK = 1 << 16
 def _reprs(values) -> list[str]:
     """fmt_float of each value, without a Python frame per value."""
     return list(map(str.removesuffix, map(repr, np.add(values, 0.0).tolist()), itertools.repeat(".0")))
-
-
-def _fmt_column(block: np.ndarray) -> list[list[str]]:
-    """fmt_float of each column of an (n, k) float block, calling repr once per distinct magnitude.
-
-    A value whose negation is also in the block prints '-' and that string, as
-    repr(-v) is '-' + repr(v). np.unique merges -0.0 with 0.0, and the nans,
-    which fmt_float prints alike.
-    """
-    unique, inverse = np.unique(block, return_inverse=True)
-    partner = np.minimum(np.searchsorted(unique, -unique), len(unique) - 1)  # where -v sorts
-    twin = (unique < 0) & (unique[partner] == -unique)  # prints '-' and its partner's string
-    slot = np.cumsum(~twin) - 1  # where each value's string goes in strings; the twins' are set below
-    strings = _reprs(unique[~twin])
-    strings += ["-" + strings[k] for k in slot[partner[twin]].tolist()]
-    slot[twin] = np.arange(len(strings) - np.count_nonzero(twin), len(strings))
-    return [[strings[i] for i in column] for column in slot[inverse].T.tolist()]
 
 
 def _lines(*fields) -> str:
@@ -222,51 +203,72 @@ def _cmd_qbasis(args) -> int:
     return 0 if residual <= 1e-10 else 1
 
 
-def _write_mesh(fh, vertices: np.ndarray, spill) -> None:
-    """Write the (N, 3) vertices to fh as 'v x y z' lines, _REPORT_BLOCK rows at a time.
+def _scaled_strings(column: np.ndarray, mags: np.ndarray, step: int):
+    """Per `step` rows of a column of v >= 0: a (2, distinct v, len(mags)) table of fmt_float of v * mags and of
+    -(v * mags), and each row's place in it. r * -c is -(r * c) exactly, so a negation prints '-' and the + string,
+    or '0' where the product is 0. One repr per distinct v: the strings of a v that comes back in a later group wait,
+    joined into one str, until its last row, while fewer than _MESH_KEPT strings wait."""
+    unique, key = np.unique(column, return_inverse=True)
+    last = len(column) - 1 - np.unique(column[::-1], return_index=True)[1]  # each v's last row
+    kept = np.full(len(unique), None, dtype=object)  # a waiting v's strings, each followed by " "
+    room = _MESH_KEPT // len(mags)  # how many more v may wait
+    for stop in range(step, len(column) + step, step):
+        distinct, place = np.unique(key[stop - step : stop], return_inverse=True)
+        products = unique[distinct, None] * mags
+        old, zero = kept[distinct].astype(bool), products == 0.0
+        strings = np.full(products.shape, "0", dtype=object)
+        strings[old] = np.array("".join(kept[distinct[old]]).split(" ")[:-1], dtype=object).reshape(-1, len(mags))
+        fresh = ~old[:, None] & ~zero
+        strings[fresh] = np.array(_reprs(products[fresh]), dtype=object)
+        # The v whose last row this is stop waiting; new ones that come back start.
+        later = last[distinct] >= stop
+        drop, keep = distinct[old & ~later], np.flatnonzero(~old & later)[:room]
+        kept[drop] = None
+        kept[distinct[keep]] = np.array(list(map(" ".join, strings[keep].tolist())), dtype=object) + " "
+        room += len(drop) - len(keep)
+        yield np.stack((strings, np.where(zero, "0", "-" + strings))), place
 
-    With a spill file, the second half of the rows repeats the first half's x
-    and y (a two-branch surface's mirror branch): each block's x and y strings
-    then serve both halves, and the mirror lines wait in the spill file until
-    the first half is written.
+
+def _write_mesh(fh, radius, height, cos, sin) -> None:
+    """Write vertex (radius[i] cos[j], radius[i] sin[j], height[i]) to fh as a 'v x y z' line, row i major.
+
+    x and y print from radius[i] times the distinct magnitudes of cos and sin, formatted once for all rows that
+    share the radius (the mirror branch; the one sheet's rows i and n - 1 - i where bitwise equal). The lines of
+    whole rows, at least _REPORT_BLOCK vertices, or of pieces of a wider row, are one join of a token list.
     """
-    half = len(vertices) // 2 if spill is not None else len(vertices)
-    for start in range(0, half, _REPORT_BLOCK):
-        stop = min(start + _REPORT_BLOCK, half)
-        (x, y), [z] = _fmt_column(vertices[start:stop, :2]), _fmt_column(vertices[start:stop, 2:])
-        fh.write(_lines("v ", x, " ", y, " ", z, "\n"))
-        if spill is not None:
-            [mirror_z] = _fmt_column(vertices[half + start : half + stop, 2:])
-            spill.write(_lines("v ", x, " ", y, " ", mirror_z, "\n"))
-        # Freed before the next block is formatted, so memory holds one block's strings.
-        del x, y, z
-    if spill is not None:
-        spill.seek(0)
-        shutil.copyfileobj(spill, fh)
+    # np.unique without return_inverse imports numpy.ma (~9 ms, 1.3 MB).
+    mags, slot = np.unique(np.abs(np.concatenate((cos, sin))), return_inverse=True)
+    n = len(cos)
+    # Where angle j's x and y strings lie in a row's table: (negated?, magnitude).
+    at = [((cos < 0).astype(np.intp), slot[:n]), ((sin < 0).astype(np.intp), slot[n:])]
+    step, width, tokens = -(-_REPORT_BLOCK // n), min(n, _REPORT_BLOCK), []
+    for start, (table, place) in zip(range(0, len(radius), step), _scaled_strings(radius, mags, step)):
+        rows = place[:, None]
+        z = np.array([f" {z}\n" for z in _reprs(height[start : start + len(place)])], dtype=object)[:, None]
+        for cols in (slice(lo, lo + width) for lo in range(0, n, width)):
+            x, y = (table[sign[cols], rows, mag[cols]] for sign, mag in at)
+            if len(tokens) != 5 * x.size:
+                tokens = ["v ", None, " ", None, None] * x.size
+            tokens[1::5], tokens[3::5] = x.ravel().tolist(), y.ravel().tolist()
+            tokens[4::5] = np.broadcast_to(z, x.shape).ravel().tolist()
+            fh.write("".join(tokens))
 
 
 def _cmd_quadric(args) -> int:
     spec = QuadricSpec(args.r2)
-    # The flags are checked, and the mesh sampled and its files opened, first,
-    # so a bad flag, an unusable temp directory or --mesh path prints nothing.
+    # Flags checked, profile computed and --mesh file opened first: a bad flag or path prints nothing.
     n_s, n_theta = _parse_numbers("--samples", "NS,NT", args.samples, int)
     try:
         extent = mesh_extent(spec, n_s, n_theta, args.t_max)
-        vertices = None if args.mesh is None else sample_quadric(spec, n_s, n_theta, extent)
-    except (BadSampleCountsError, MemoryError) as exc:  # MemoryError: numpy cannot allocate the mesh
+        profile = None if args.mesh is None else mesh_profile(spec, n_s, n_theta, extent)
+    except (BadSampleCountsError, MemoryError) as exc:  # MemoryError: numpy cannot allocate the profile
         raise GeometryError(f"--samples {args.samples}: {exc}") from None
-    with contextlib.ExitStack() as files:
-        if vertices is not None:
-            half = len(vertices) // 2
-            spill = None
-            if np.array_equal(vertices[:half, :2], vertices[half:, :2]):
-                spill = files.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n"))
-            fh = files.enter_context(open(args.mesh, "w", encoding="utf-8", newline="\n"))
+    with open(args.mesh, "w", encoding="utf-8", newline="\n") if profile else contextlib.nullcontext() as fh:
         print(f"class={classify_quadric(spec).value}")
         print(f"equation={quadric_equation(spec)}")
         print(f"character={radius_vector_character(spec).value}")
-        if vertices is not None:
-            _write_mesh(fh, vertices, spill)
+        if profile:
+            _write_mesh(fh, *profile)
     return 0
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "basis_heads_primed",
     "default_extent",
     "mesh_extent",
+    "mesh_profile",
     "sample_quadric",
 ]
 
@@ -197,9 +198,7 @@ def mesh_extent(spec: QuadricSpec, n_s: int, n_theta: int, extent: float | None 
     overflows; `extent` defaults to default_extent(r2).
     """
     if n_s < 2 or n_theta < 3:
-        raise BadSampleCountsError(
-            f"need n_s >= 2 and n_theta >= 3, got n_s={n_s}, n_theta={n_theta}"
-        )
+        raise BadSampleCountsError(f"need n_s >= 2 and n_theta >= 3, got n_s={n_s}, n_theta={n_theta}")
     # Two branches of n_s * n_theta vertices, 3 * 8 bytes each. Past the
     # address space numpy's sizes wrap (an empty mesh, or an IndexError).
     if 48 * n_s * n_theta > np.iinfo(np.intp).max:
@@ -223,16 +222,13 @@ def mesh_extent(spec: QuadricSpec, n_s: int, n_theta: int, extent: float | None 
     return t_max
 
 
-def sample_quadric(
-    spec: QuadricSpec, n_s: int, n_theta: int, extent: float | None = None
-) -> np.ndarray:
-    """Sample the surface x'^2+y'^2-2z'^2 = -r2 on an exact parametric grid.
+def mesh_profile(spec: QuadricSpec, n_s: int, n_theta: int, extent: float | None = None) -> tuple[np.ndarray, ...]:
+    """The surface x'^2+y'^2-2z'^2 = -r2 on an exact parametric grid, factored: (radius, height, cos, sin).
 
-    Returns an (N, 3) array of primed-coordinate vertices in a fixed order:
-    profile-row major (n_s rows of n_theta angles each), and for the two-branch
-    surfaces the + branch is emitted completely before the - branch.
-
-    Parametrizations, with theta running over n_theta equal steps in [0, 2*pi):
+    Vertex (i, j) is (radius[i] cos[j], radius[i] sin[j], height[i]) in primed
+    coordinates. radius (>= 0) and height hold one entry per profile row, the
+    two-branch surfaces' - branch after their + branch; cos and sin hold theta
+    at n_theta equal steps in [0, 2*pi). The profiles:
 
     * cone (r2 ~ 0): (t cos, t sin, +-t/sqrt(2)), t in [0, extent]; the apex
       row t = 0 appears once per branch.
@@ -249,7 +245,6 @@ def sample_quadric(
     """
     t_max = mesh_extent(spec, n_s, n_theta, extent)
     kind = classify_quadric(spec)
-    # The profile: one (radius, height) per row.
     if kind is QuadricClass.CONE:
         # Only the last step can overflow, and linspace then sets it to t_max.
         with np.errstate(over="ignore"):
@@ -259,7 +254,10 @@ def sample_quadric(
         radius, height = _hyperboloid_profile(kind, math.sqrt(abs(spec.r2)), t_max, n_s)
     if kind is not QuadricClass.ONE_SHEET:  # the + branch, then its mirror image
         radius, height = np.concatenate((radius, radius)), np.concatenate((height, -height))
+    return (radius, height, *_unit_circle(n_theta))
 
-    cos, sin = _unit_circle(n_theta)
-    x, y, z = np.broadcast_arrays(radius[:, None] * cos, radius[:, None] * sin, height[:, None])
-    return np.stack((x, y, z), axis=-1).reshape(-1, 3)
+
+def sample_quadric(spec: QuadricSpec, n_s: int, n_theta: int, extent: float | None = None) -> np.ndarray:
+    """mesh_profile's vertices as an (N, 3) array: rows of n_theta angles, a two-branch surface's + branch first."""
+    radius, height, cos, sin = mesh_profile(spec, n_s, n_theta, extent)
+    return np.stack(np.broadcast_arrays(radius[:, None] * cos, radius[:, None] * sin, height[:, None]), -1).reshape(-1, 3)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from circgeo import cli, fmt_float
+from circgeo import GeometryError, QuadricSpec, cli, fmt_float, mesh_profile, sample_quadric
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -473,7 +473,8 @@ def test_quadric_mesh_file(tmp_path, run_main):
 
 
 # SHA-256 of the mesh files; r2 = 1e-300 lies in the null band, so it meshes
-# the cone. 64,1024 spans 16 (one sheet) or 32 (two branches) 4096-row blocks.
+# the cone. 64,1024 spans 16 (one sheet) or 32 (two branches) groups of four
+# rows, 4000,3 five groups of 1366 rows and a short one.
 # The angles come from quadrics._unit_circle, whose cos and sin keep the
 # circle's symmetries exact; the writer prints each vertex as fmt_float does.
 MESH_SHA256 = {
@@ -485,8 +486,8 @@ MESH_SHA256 = {
     ("2.5", "2,3"): "2e70898b28abb8b7880ec84ac4e62da5d8f9afbbdcfd6a3f0e276b1444e743ed",
     ("-1", "2,3"): "9f889e66f083d89d0bcfaa448a2f0191f33350769f785b52c9f7e82d698cc933",
     ("1e-300", "2,3"): "ccf725c45e06c8c5e05c2c127dc40b818ad2790b02bf579f07d907314acb409d",
-    # Two-branch meshes whose half is not a multiple of 4096 rows, and an
-    # odd-length one-sheet mesh (65 * 1001 rows).
+    # Meshes whose rows do not fill their last group, and an odd-length
+    # one-sheet mesh (65 * 1001 vertices).
     ("0", "65,1000"): "cca27425a198c30912e2b42ce7fd19f5753ad5a4074b9c57a6f5c04f8ebf47da",
     ("2.5", "33,777"): "d038c12209706e25d036f4fe7e97112f3073d23136ab1e78f51a9452f1a58865",
     ("-1", "65,1001"): "9acf0852209b7fb15fdc8fd0d459945c4d119fe755ca9af1f3d7287f82dc9221",
@@ -508,11 +509,15 @@ def test_quadric_mesh_golden_digest(tmp_path, run_main, key):
     assert hashlib.sha256(mesh.read_bytes()).hexdigest() == MESH_SHA256[key]
 
 
-# The writer's repr calls for a 64 x 1024 mesh, one per distinct magnitude of
-# x and y, and of z, in each 4096-row block: with the quarter-turn symmetry of
-# the angle table, ~257 per profile row. The count is exact, so a writer that
-# formats more than it needs to fails here before any timing shows it.
-@pytest.mark.parametrize(("r2", "calls"), [("0", 16_272), ("2.5", 16_272), ("-1", 16_464)])
+# The writer's repr calls for a 64 x 1024 mesh: one per nonzero product of a
+# distinct radius and a distinct magnitude of cos and sin (256 of them: the
+# angle table keeps the quarter-turn symmetry exact), and one per row for z.
+# The mirror branch shares its radii with the + branch (63 of them nonzero
+# for the cone and the two sheets), the one sheet's rows i and 63 - i where
+# they are bitwise equal (45 distinct radii). The count is exact, so a
+# writer that formats more than it needs to fails here before any timing
+# shows it.
+@pytest.mark.parametrize(("r2", "calls"), [("0", 16_256), ("2.5", 16_256), ("-1", 11_584)])
 def test_quadric_mesh_repr_calls(tmp_path, run_main, monkeypatch, r2, calls):
     counted = []
 
@@ -530,22 +535,38 @@ _FMT_EDGES = [0.0, -0.0, math.nan, float(np.copysign(math.nan, -1.0)), math.inf,
               1e16, -1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), 2.0**53, 2.0**53 + 2]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    pool=st.lists(
-        st.one_of(st.floats(), st.integers(-(10**17), 10**17).map(float)), max_size=40
-    ),
-    n=st.sampled_from([0, 1, 4095, 4096, 4097]) | st.integers(0, 40),
-    k=st.integers(1, 3),
-    seed=st.integers(0, 2**32 - 1),
+    # the cone, levels in its null band, two sheets, one sheet
+    r2=st.sampled_from([0.0, 1e-300, -1e-300, 5e-324, -1e-10]) | st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6),
+    # (n_s, n_theta): small; tall and thin, 1366 rows of 3 to a 4096-vertex
+    # group; short and wide, one or a few rows to a group
+    shape=st.tuples(st.integers(2, 40), st.integers(3, 40))
+    | st.tuples(st.sampled_from([683, 684, 1366, 1367]), st.sampled_from([3, 4]))
+    | st.tuples(st.integers(2, 3), st.sampled_from([1023, 1024, 4097])),
+    # radii whose products underflow to 0 and print 0
+    t_max=st.none() | st.floats(5e-324, 1e3) | st.sampled_from([5e-324, 1e-322, 2.2250738585072014e-308]),
 )
-def test_fmt_column_matches_fmt_float(pool, n, k, seed):
-    # Values drawn with repeats from a pool closed under negation, so v and -v
-    # share a block and one magnitude; the block starts with 0.0 and -0.0.
-    pool = np.array(pool + _FMT_EDGES)
-    block = np.random.default_rng(seed).choice(np.concatenate((pool, -pool)), size=(n, k))
-    block.flat[:2] = [0.0, -0.0][: block.size]
-    assert cli._fmt_column(block) == [[fmt_float(x) for x in column] for column in block.T.tolist()]
+def test_write_mesh_matches_fmt_float(r2, shape, t_max):
+    spec, (n_s, n_theta) = QuadricSpec(r2), shape
+    try:
+        vertices = sample_quadric(spec, n_s, n_theta, t_max)
+    except GeometryError:  # an extent too large for the level
+        return
+    out = io.StringIO()
+    cli._write_mesh(out, *mesh_profile(spec, n_s, n_theta, t_max))
+    expected = [f"v {fmt_float(x)} {fmt_float(y)} {fmt_float(z)}\n" for x, y, z in vertices.tolist()]
+    assert out.getvalue().splitlines(True) == expected
+
+
+@pytest.mark.parametrize("key", [("2.5", "33,777"), ("-1", "65,1001"), ("2.5", "4000,3")], ids="-".join)
+def test_quadric_mesh_digest_with_little_room_to_keep(tmp_path, run_main, monkeypatch, key):
+    # With room for only some rows' strings to wait for the later rows that
+    # share them, the rest are formatted again; the file stays the same.
+    monkeypatch.setattr(cli, "_MESH_KEPT", 3000)
+    mesh = tmp_path / "out.obj"
+    assert run_main("quadric", f"--r2={key[0]}", "--mesh", str(mesh), "--samples", key[1]).returncode == 0
+    assert hashlib.sha256(mesh.read_bytes()).hexdigest() == MESH_SHA256[key]
 
 
 @settings(max_examples=200, deadline=None)
@@ -631,19 +652,13 @@ def test_quadric_huge_samples_exit_2(tmp_path, run_main, samples):
 
 
 def test_quadric_mesh_without_temp_dir(tmp_path, run_main, monkeypatch):
-    # A two-branch mesh stages its mirror branch in a temp file; with no
-    # usable temp directory it exits 2 before printing or creating the mesh.
+    # The mesh writer needs no temp file, also for a two-branch surface.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
     mesh = tmp_path / "out.obj"
-    result = run_main("quadric", "--r2", "2.5", "--mesh", str(mesh), "--samples", "4,8")
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-    assert not mesh.exists()
-    # The one-sheet surface has no mirror branch and needs no temp file.
-    result = run_main("quadric", "--r2", "-1", "--mesh", str(mesh), "--samples", "4,8")
-    assert result.returncode == 0
-    assert len(mesh.read_text(encoding="utf-8").splitlines()) == 4 * 8
+    for r2 in ("2.5", "-1"):
+        result = run_main("quadric", "--r2", r2, "--mesh", str(mesh), "--samples", "4,8")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert len(mesh.read_text(encoding="utf-8").splitlines()) == (8 if r2 == "2.5" else 4) * 8
 
 
 def _mesh_write_peak(path, r2, samples):

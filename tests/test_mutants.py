@@ -176,6 +176,9 @@ ROWS = [
         mapped(lambda c: dataclasses.replace(c, radius_sq=c.radius_sq * (1.0 + 1e-10))), "cone_sphere_circles"),
     row("mesh x and z swapped", "sample_quadric", mapped(lambda v: v[:, [2, 1, 0]]), "mesh_on_surface"),
     row("mesh vertices 1e-8 long", "sample_quadric", times(1.0 + 1e-8), "mesh_on_surface"),
+    # The profile that `quadric --mesh` writes; the family sees it through sample_quadric.
+    row("mesh profile heights 1e-8 high", "mesh_profile", mapped(lambda p: (p[0], p[1] * (1.0 + 1e-8), *p[2:])),
+        "mesh_on_surface"),
     row("basis heads negated", "basis_heads_primed", mapped(lambda heads: tuple(-v for v in heads)),
         "cone_sphere_circles"),
     row("basis heads 1e-10 long", "basis_heads_primed", mapped(lambda heads: tuple(v * (1.0 + 1e-10) for v in heads)),
