@@ -65,17 +65,14 @@ def _vector_line(label: str, v: np.ndarray) -> str:
 # Report names of classify_many's character codes.
 _CHARACTER_NAMES = [c.value for c in CHARACTER_BY_CODE] + ["error:zero-vector", "error:non-finite"]
 # Vertices a mesh joins at a time (whole rows, at least this many, or pieces
-# of a wider row), and twice the rows a batch report joins, as its lines hold
-# five number strings: peak memory does not grow with the row count.
-_REPORT_BLOCK = 4096
+# of a wider row): peak memory does not grow with the row count.
+_MESH_BLOCK = 4096
 # Number strings a mesh keeps for later rows (~10 MB at most), so its memory
 # grows with its rows plus its columns, not their product.
 _MESH_KEPT = 1 << 18
-# Bytes of CSV lines parsed at a time, and rows classify_many takes at a time:
-# classify-batch holds one block of Python strings and floats, and one block
-# of classify_many's temporaries, beside its float arrays.
-_PARSE_BLOCK = 1 << 16
-_CLASSIFY_BLOCK = 1 << 16
+# CSV rows classify-batch parses, classifies and reports at a time: beside
+# the float arrays of all rows it holds one block of Python strings and floats.
+_BATCH_ROWS = 2048
 
 
 def _reprs(values) -> list[str]:
@@ -141,8 +138,8 @@ def _parse_block(raws: list[bytes]) -> np.ndarray:
     return np.array(",".join(lines).split(","), dtype=float).reshape(-1, 3)
 
 
-def _read_batch_rows(path: str) -> np.ndarray:
-    """The CSV's rows as an (N, 3) float array; every input error names its line."""
+def _read_batch_rows(path: str) -> list[np.ndarray]:
+    """The CSV's rows as (n, 3) float blocks of up to _BATCH_ROWS rows; every input error names its line."""
     with open(path, "rb") as fh:
         # The header comes first even from an empty file, which then fails it.
         try:
@@ -152,43 +149,41 @@ def _read_batch_rows(path: str) -> np.ndarray:
         if header.strip() != "x,y,z":
             raise GeometryError("line 1: expected CSV header 'x,y,z'")
         blocks, lineno = [], 2
-        for raws in iter(lambda: fh.readlines(_PARSE_BLOCK), []):
+        for raws in iter(lambda: list(itertools.islice(fh, _BATCH_ROWS)), []):
             try:
                 blocks.append(_parse_block(raws))
             except ValueError:  # line by line, so the first bad line is the one named
                 blocks.append(np.array([_check_line(i, raw) for i, raw in enumerate(raws, lineno)]))
             lineno += len(raws)
-    return np.concatenate(blocks) if blocks else np.empty((0, 3))
+    return blocks
 
 
 def _cmd_classify_batch(args) -> int:
     metric = CirculantMetric(*_parse_numbers("--metric", "A,B", args.metric))
-    rows = _read_batch_rows(args.input)
+    blocks = _read_batch_rows(args.input)
     # Every row is classified before the report is opened, so an
     # InvariantViolation leaves no file behind.
-    cos, code = np.empty(len(rows)), np.empty(len(rows), dtype=np.int8)
-    for start in range(0, len(rows), _CLASSIFY_BLOCK):
-        block = slice(start, start + _CLASSIFY_BLOCK)
-        cos[block], code[block], _ = classify_many(metric, rows[block])
+    classified = [classify_many(metric, rows)[:2] for rows in blocks]
+    n = sum(map(len, blocks))
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"metric a={fmt_float(metric.a)} b={fmt_float(metric.b)}\n")
         fh.write(f"tolerance eps_null={fmt_float(EPS_NULL)} eps_angle={fmt_float(EPS_ANGLE)}\n")
-        fh.write(f"rows n={len(rows)}\n")
-        step = _REPORT_BLOCK // 2
-        for start in range(0, len(rows), step):
-            block = slice(start, start + step)
+        fh.write(f"rows n={n}\n")
+        start = 0
+        for rows, (cos, code) in zip(blocks, classified):
             # classify_many has range-checked every cosine; nan rows stay nan.
-            clamped = np.clip(cos[block], -0.5, 1.0).tolist()
+            clamped = np.clip(cos, -0.5, 1.0).tolist()
             fh.write(_lines(
-                "row index=", list(map(str, range(start, start + len(clamped)))),
-                " x=", _reprs(rows[block, 0]), " y=", _reprs(rows[block, 1]), " z=", _reprs(rows[block, 2]),
-                " cos_phi=", _reprs(cos[block]),
+                "row index=", list(map(str, range(start, start + len(rows)))),
+                " x=", _reprs(rows[:, 0]), " y=", _reprs(rows[:, 1]), " z=", _reprs(rows[:, 2]),
+                " cos_phi=", _reprs(cos),
                 # math.acos, not np.arccos, which can differ in the last bit.
                 " phi_rad=", _reprs(list(map(math.acos, clamped))),
-                " character=", [_CHARACTER_NAMES[k] for k in code[block].tolist()],
+                " character=", [_CHARACTER_NAMES[k] for k in code.tolist()],
                 "\n",
             ))
-    print(f"wrote {len(rows)} rows to {args.output}")
+            start += len(rows)
+    print(f"wrote {n} rows to {args.output}")
     return 0
 
 
@@ -234,14 +229,14 @@ def _write_mesh(fh, radius, height, cos, sin) -> None:
 
     x and y print from radius[i] times the distinct magnitudes of cos and sin, formatted once for all rows that
     share the radius (the mirror branch; the one sheet's rows i and n - 1 - i where bitwise equal). The lines of
-    whole rows, at least _REPORT_BLOCK vertices, or of pieces of a wider row, are one join of a token list.
+    whole rows, at least _MESH_BLOCK vertices, or of pieces of a wider row, are one join of a token list.
     """
     # np.unique without return_inverse imports numpy.ma (~9 ms, 1.3 MB).
     mags, slot = np.unique(np.abs(np.concatenate((cos, sin))), return_inverse=True)
     n = len(cos)
     # Where angle j's x and y strings lie in a row's table: (negated?, magnitude).
     at = [((cos < 0).astype(np.intp), slot[:n]), ((sin < 0).astype(np.intp), slot[n:])]
-    step, width, tokens = -(-_REPORT_BLOCK // n), min(n, _REPORT_BLOCK), []
+    step, width, tokens = -(-_MESH_BLOCK // n), min(n, _MESH_BLOCK), []
     for start, (table, place) in zip(range(0, len(radius), step), _scaled_strings(radius, mags, step)):
         rows = place[:, None]
         z = np.array([f" {z}\n" for z in _reprs(height[start : start + len(place)])], dtype=object)[:, None]

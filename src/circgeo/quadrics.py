@@ -158,18 +158,22 @@ def basis_heads_primed() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _math_map(fn, x: np.ndarray) -> np.ndarray:
     """fn applied to each entry with the math module, whose sinh, cosh, cos and
     sin the meshes are made with (numpy's differ in the last bit on some CPUs)."""
-    return np.array([fn(v) for v in x.tolist()])
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
 def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of 2*pi*j/n, j = 0..n-1, exact under each symmetry of the circle that maps the grid to
     itself: in integers, 4j = q*n + r gives q quarter turns and r/n of one; r > n/2 folds to n - r."""
     q, r = np.divmod(4 * np.arange(n), n)
-    fold, r = 2 * r > n, np.minimum(r, n - r)
-    near, far = (_math_map(fn, (0.5 * math.pi) * (r / n)) for fn in (math.cos, math.sin))
-    near[2 * r == n] = far[2 * r == n] = math.sqrt(0.5)  # one float at pi/4, where cos and sin differ by 1 ulp
-    c, s = np.where(fold, far, near), np.where(fold, near, far)
-    return np.choose(q, [c, -s, -c, s]), np.choose(q, [s, c, -s, -c])
+    swap, r = (2 * r > n) ^ (q % 2 == 1), np.minimum(r, n - r)  # a fold or an odd quarter turn swaps cos and sin
+    k = np.arange(n // 2 + 1)  # the folded numerators
+    near, far = (_math_map(fn, (0.5 * math.pi) * (k / n)) for fn in (math.cos, math.sin))
+    near[2 * k == n] = far[2 * k == n] = math.sqrt(0.5)  # one float at pi/4, where cos and sin differ by 1 ulp
+    near, far = near[r], far[r]
+    x, y = np.where(swap, far, near), np.where(swap, near, far)
+    np.negative(x, out=x, where=(q == 1) | (q == 2))
+    np.negative(y, out=y, where=q >= 2)
+    return x, y
 
 
 def _hyperboloid_profile(kind: QuadricClass, a: float, t_max: float, n_s: int):

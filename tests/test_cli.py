@@ -257,11 +257,12 @@ def test_batch_non_finite_rows_are_row_errors(tmp_path, run_main):
 
 
 def test_batch_report_across_block_edges(tmp_path, run_main):
-    # 8,193 rows end one row past a multiple of 4096, so they cross the edges
-    # of the writers' 2048- and 4096-row blocks. The CSV (~490 KB) also spans
-    # ~8 of the parser's 64 KiB blocks. The rows at two edges are zero,
+    # 8,193 rows end one row past a multiple of 2048, so they cross the edges
+    # of the command's 2048-row blocks. The rows at two edges are zero,
     # signed-zero and subnormal, non-finite, and scaled by 2**1000 and
-    # 2**-1000. The report must read as one fmt_float-per-cell line per row.
+    # 2**-1000. Row 5000 is wrapped in '\x1c', which only the line-by-line
+    # parse accepts, so its block takes that path between bulk-parsed ones.
+    # The report must read as one fmt_float-per-cell line per row.
     from circgeo import CHARACTER_BY_CODE, CirculantMetric, classify_many
 
     rows = np.random.default_rng(5).uniform(-10.0, 10.0, size=(8193, 3))
@@ -272,8 +273,10 @@ def test_batch_report_across_block_edges(tmp_path, run_main):
     rows[8192] = np.ldexp(rows[8192], -1000)
     csv = tmp_path / "rows.csv"
     out = tmp_path / "report.txt"
-    csv.write_text("x,y,z\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in rows.tolist()), encoding="utf-8")
-    assert csv.stat().st_size > 4 * cli._PARSE_BLOCK
+    lines = [f"{x!r},{y!r},{z!r}\n" for x, y, z in rows.tolist()]
+    lines[5000] = f"\x1c{lines[5000][:-1]}\x1c\n"
+    csv.write_text("x,y,z\n" + "".join(lines), encoding="utf-8")
+    assert len(rows) == 4 * cli._BATCH_ROWS + 1
     result = run_main("classify-batch", "--metric", "2,0.5", "--input", str(csv), "--output", str(out))
     assert (result.returncode, result.stdout) == (0, f"wrote 8193 rows to {out}\n")
     cos, code, _ = classify_many(CirculantMetric(2.0, 0.5), rows)
@@ -293,7 +296,7 @@ def test_batch_report_across_block_edges(tmp_path, run_main):
 
 
 def _batch_lines(n=6000):
-    """n CSV lines of seeded reals, as bytes without their newlines: ~370 KB, ~6 parse blocks."""
+    """n CSV lines of seeded reals, as bytes without their newlines: ~370 KB, three 2048-row blocks."""
     rows = np.random.default_rng(14).uniform(-10.0, 10.0, size=(n, 3))
     return [f"{x!r},{y!r},{z!r}".encode() for x, y, z in rows.tolist()]
 
@@ -308,7 +311,7 @@ def _batch_errors(tmp_path, run_main, body):
 
 
 def test_batch_parse_errors_across_read_blocks(tmp_path, run_main):
-    # Each parse block is checked at once and only a failing block line by
+    # Each block of rows is parsed at once and only a failing block line by
     # line, which must still name the first bad line of the file.
     lines = _batch_lines()
     bad = list(lines)
@@ -319,9 +322,7 @@ def test_batch_parse_errors_across_read_blocks(tmp_path, run_main):
     bad = list(lines)
     bad[3990 - 2] = b"1.5,2.5"
     bad[4000 - 2] += b"\xff"
-    fh = io.BytesIO(b"\n".join(bad) + b"\n")
-    ends = np.cumsum([len(raws) for raws in iter(lambda: fh.readlines(cli._PARSE_BLOCK), [])]) + 1
-    assert len(ends) >= 5 and np.searchsorted(ends, 3990) == np.searchsorted(ends, 4000)
+    assert len(lines) > 2 * cli._BATCH_ROWS and (3990 - 2) // cli._BATCH_ROWS == (4000 - 2) // cli._BATCH_ROWS
     assert _batch_errors(tmp_path, run_main, b"\n".join(bad) + b"\n") == (
         2, "error: line 3990: expected three comma-separated reals, got '1.5,2.5'\n")
     # Four fields and then two: the block still holds three tokens a line.
@@ -359,7 +360,7 @@ def test_batch_tokens_parse_as_float(tmp_path, token):
     assert np.array_equal(cli._parse_block([line + b"\n", line]).view(np.int64), np.tile(bits, (2, 1)))
     csv = tmp_path / "rows.csv"
     csv.write_bytes(b"x,y,z\n1,2,3\n" + line + b"\n")
-    assert np.array_equal(cli._read_batch_rows(str(csv))[1].view(np.int64), bits)
+    assert np.array_equal(np.concatenate(cli._read_batch_rows(str(csv)))[1].view(np.int64), bits)
 
 
 def test_batch_line_that_only_strips_parse(tmp_path):
@@ -369,7 +370,7 @@ def test_batch_line_that_only_strips_parse(tmp_path):
         cli._parse_block([b"\x1c1,2,3\x1c\n"])
     csv = tmp_path / "rows.csv"
     csv.write_bytes(b"x,y,z\n4,5,6\n\x1c1,2,3\x1c\n")
-    assert cli._read_batch_rows(str(csv)).tolist() == [[4.0, 5.0, 6.0], [1.0, 2.0, 3.0]]
+    assert np.concatenate(cli._read_batch_rows(str(csv))).tolist() == [[4.0, 5.0, 6.0], [1.0, 2.0, 3.0]]
 
 
 @pytest.mark.parametrize("token", _NON_FLOAT_TOKENS)
@@ -382,24 +383,25 @@ def test_batch_tokens_float_rejects(tmp_path, run_main, token):
 
 
 def test_batch_memory_is_bounded_per_row(tmp_path, capsys, monkeypatch):
-    # With small blocks, a 20k-row CSV spans many parse, classify and report
-    # blocks, and the command's peak is that of its float arrays and one
-    # block. Parsing into a list of Python floats and classifying all rows
-    # at once read ~144 B/row here; block-wise, ~62 B/row.
+    # With small blocks, a 20k-row CSV spans many blocks, and the command's
+    # peak is that of its float arrays and one block. Parsing into a list of
+    # Python floats and classifying all rows at once read ~144 B/row here;
+    # concatenating the parsed blocks into one array, ~54 B/row; keeping
+    # them as blocks, ~45 B/row. A first run pays one-time costs untraced.
     rows = np.random.default_rng(3).uniform(-10.0, 10.0, size=(20_000, 3))
     csv = tmp_path / "rows.csv"
     csv.write_text("x,y,z\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in rows.tolist()), encoding="utf-8")
-    monkeypatch.setattr(cli, "_PARSE_BLOCK", 1 << 12)
-    monkeypatch.setattr(cli, "_CLASSIFY_BLOCK", 1 << 10)
-    monkeypatch.setattr(cli, "_REPORT_BLOCK", 1 << 9)
+    monkeypatch.setattr(cli, "_BATCH_ROWS", 256)
+    argv = ["classify-batch", "--metric", "2,0.5", "--input", str(csv), "--output", str(tmp_path / "r.txt")]
+    assert cli.main(argv) == 0
     tracemalloc.start()
     try:
-        code = cli.main(["classify-batch", "--metric", "2,0.5", "--input", str(csv), "--output", str(tmp_path / "r.txt")])
+        code = cli.main(argv)
         per_row = tracemalloc.get_traced_memory()[1] / len(rows)
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert per_row < 80, per_row
+    assert per_row < 50, per_row
 
 
 # ---------------------------------------------------------------- qbasis
@@ -672,9 +674,11 @@ def _mesh_write_peak(path, r2, samples):
 
 
 def test_quadric_mirror_branch_does_not_hold_its_lines(tmp_path, capsys):
-    # Both meshes have 65,536 vertices. The two-sheet one keeps its mirror
-    # lines in a spill file, not in memory, so its peak stays near the
-    # one-sheet peak; holding the mirror text in memory reads ~1.6x.
+    # Both meshes have 65,536 vertices. The two-sheet one writes its mirror
+    # rows from the strings its + branch keeps, so its peak stays near the
+    # one-sheet peak; holding the mirror text in memory reads ~1.6x. A first
+    # mesh pays one-time costs (imports, argparse caches) untraced.
+    assert cli.main(["quadric", "--r2=-1", "--mesh", str(tmp_path / "warm.obj"), "--samples", "4,8"]) == 0
     two_sheets = _mesh_write_peak(tmp_path / "two.obj", "2.5", "32,1024")
     one_sheet = _mesh_write_peak(tmp_path / "one.obj", "-1", "64,1024")
     assert two_sheets <= 1.2 * one_sheet, (two_sheets, one_sheet)
