@@ -198,32 +198,6 @@ def _cmd_qbasis(args) -> int:
     return 0 if residual <= 1e-10 else 1
 
 
-def _scaled_strings(column: np.ndarray, mags: np.ndarray, step: int):
-    """Per `step` rows of a column of v >= 0: a (2, distinct v, len(mags)) table of fmt_float of v * mags and of
-    -(v * mags), and each row's place in it. r * -c is -(r * c) exactly, so a negation prints '-' and the + string,
-    or '0' where the product is 0. One repr per distinct v: the strings of a v that comes back in a later group wait,
-    joined into one str, until its last row, while fewer than _MESH_KEPT strings wait."""
-    unique, key = np.unique(column, return_inverse=True)
-    last = len(column) - 1 - np.unique(column[::-1], return_index=True)[1]  # each v's last row
-    kept = np.full(len(unique), None, dtype=object)  # a waiting v's strings, each followed by " "
-    room = _MESH_KEPT // len(mags)  # how many more v may wait
-    for stop in range(step, len(column) + step, step):
-        distinct, place = np.unique(key[stop - step : stop], return_inverse=True)
-        products = unique[distinct, None] * mags
-        old, zero = kept[distinct].astype(bool), products == 0.0
-        strings = np.full(products.shape, "0", dtype=object)
-        strings[old] = np.array("".join(kept[distinct[old]]).split(" ")[:-1], dtype=object).reshape(-1, len(mags))
-        fresh = ~old[:, None] & ~zero
-        strings[fresh] = np.array(_reprs(products[fresh]), dtype=object)
-        # The v whose last row this is stop waiting; new ones that come back start.
-        later = last[distinct] >= stop
-        drop, keep = distinct[old & ~later], np.flatnonzero(~old & later)[:room]
-        kept[drop] = None
-        kept[distinct[keep]] = np.array(list(map(" ".join, strings[keep].tolist())), dtype=object) + " "
-        room += len(drop) - len(keep)
-        yield np.stack((strings, np.where(zero, "0", "-" + strings))), place
-
-
 def _write_mesh(fh, radius, height, cos, sin) -> None:
     """Write vertex (radius[i] cos[j], radius[i] sin[j], height[i]) to fh as a 'v x y z' line, row i major.
 
@@ -233,15 +207,33 @@ def _write_mesh(fh, radius, height, cos, sin) -> None:
     """
     # np.unique without return_inverse imports numpy.ma (~9 ms, 1.3 MB).
     mags, slot = np.unique(np.abs(np.concatenate((cos, sin))), return_inverse=True)
-    n = len(cos)
-    # Where angle j's x and y strings lie in a row's table: (negated?, magnitude).
-    at = [((cos < 0).astype(np.intp), slot[:n]), ((sin < 0).astype(np.intp), slot[n:])]
+    n, m = len(cos), len(mags)
+    # Angle j's x and y columns in a group's table: the + strings of mags, then the negated ones.
+    xcol, ycol = slot[:n] + m * (cos < 0), slot[n:] + m * (sin < 0)
+    # A radius's strings wait, joined, for its later groups until its last row, while fewer than _MESH_KEPT wait.
+    unique, key = np.unique(radius, return_inverse=True)
+    last = len(radius) - 1 - np.unique(radius[::-1], return_index=True)[1]  # each radius's last row
+    kept = np.full(len(unique), None, dtype=object)  # a waiting radius's strings, each followed by " "
+    room = _MESH_KEPT // m  # how many more radii may wait
     step, width, tokens = -(-_MESH_BLOCK // n), min(n, _MESH_BLOCK), []
-    for start, (table, place) in zip(range(0, len(radius), step), _scaled_strings(radius, mags, step)):
-        rows = place[:, None]
+    for start in range(0, len(radius), step):
+        distinct, place = np.unique(key[start : start + step], return_inverse=True)
+        products = unique[distinct, None] * mags
+        old, zero = kept[distinct].astype(bool), products == 0.0
+        strings = np.full(products.shape, "0", dtype=object)
+        strings[old] = np.array("".join(kept[distinct[old]]).split(" ")[:-1], dtype=object).reshape(-1, m)
+        fresh = ~old[:, None] & ~zero
+        strings[fresh] = np.array(_reprs(products[fresh]), dtype=object)
+        # The radii whose last row is in this group stop waiting; new ones that come back start.
+        later = last[distinct] >= start + step
+        drop, keep = distinct[old & ~later], np.flatnonzero(~old & later)[:room]
+        kept[drop], room = None, room + len(drop) - len(keep)
+        kept[distinct[keep]] = np.array(list(map(" ".join, strings[keep].tolist())), dtype=object) + " "
+        # r * -c is -(r * c) exactly, so a negation prints '-' and the + string, or '0' where the product is 0.
+        table = np.concatenate((strings, np.where(zero, "0", "-" + strings)), axis=1)
         z = np.array([f" {z}\n" for z in _reprs(height[start : start + len(place)])], dtype=object)[:, None]
         for cols in (slice(lo, lo + width) for lo in range(0, n, width)):
-            x, y = (table[sign[cols], rows, mag[cols]] for sign, mag in at)
+            x, y = (table[place[:, None], col[cols]] for col in (xcol, ycol))
             if len(tokens) != 5 * x.size:
                 tokens = ["v ", None, " ", None, None] * x.size
             tokens[1::5], tokens[3::5] = x.ravel().tolist(), y.ravel().tolist()

@@ -211,6 +211,20 @@ def test_batch_golden_report(tmp_path, run_main):
     assert out.read_bytes() == (DATA / "batch_golden_report.txt").read_bytes()
 
 
+@pytest.mark.parametrize("block", [1, 3, 499])
+def test_batch_golden_report_at_any_block_size(tmp_path, run_main, monkeypatch, block):
+    # One-row blocks, blocks that do not divide the 500 rows, and one short
+    # last block write the same report as one 2048-row block.
+    monkeypatch.setattr(cli, "_BATCH_ROWS", block)
+    out = tmp_path / "report.txt"
+    result = run_main(
+        "classify-batch", "--metric", "1.75,0.375",
+        "--input", str(DATA / "batch_golden.csv"), "--output", str(out),
+    )
+    assert result.returncode == 0
+    assert out.read_bytes() == (DATA / "batch_golden_report.txt").read_bytes()
+
+
 def batch_report(run, tmp_path, rows, metric="2,0.5"):
     """Report lines of classify-batch on rows of CSV text, each split into a field dict."""
     csv = tmp_path / "rows.csv"
@@ -568,6 +582,22 @@ def test_quadric_mesh_digest_with_little_room_to_keep(tmp_path, run_main, monkey
     monkeypatch.setattr(cli, "_MESH_KEPT", 3000)
     mesh = tmp_path / "out.obj"
     assert run_main("quadric", f"--r2={key[0]}", "--mesh", str(mesh), "--samples", key[1]).returncode == 0
+    assert hashlib.sha256(mesh.read_bytes()).hexdigest() == MESH_SHA256[key]
+
+
+@pytest.mark.parametrize(("key", "block"), [
+    *((key, block) for key in [("-1", "301,9"), ("0", "5,7", "5e-324")] for block in (1, 5, 7)),
+    (("2.5", "4000,3"), 5), (("2.5", "4000,3"), 7),
+], ids=lambda p: "-".join(p) if isinstance(p, tuple) else str(p))
+def test_quadric_mesh_digest_at_any_block_size(tmp_path, run_main, monkeypatch, key, block):
+    # Groups of one row and of several (two or three rows of 3), rows of 9 or
+    # 7 cut into one-vertex pieces or into pieces with a short last one: the
+    # file stays the same.
+    monkeypatch.setattr(cli, "_MESH_BLOCK", block)
+    r2, samples, *t_max = key
+    mesh = tmp_path / "out.obj"
+    result = run_main("quadric", f"--r2={r2}", "--mesh", str(mesh), "--samples", samples, *(f"--t-max={t}" for t in t_max))
+    assert result.returncode == 0
     assert hashlib.sha256(mesh.read_bytes()).hexdigest() == MESH_SHA256[key]
 
 
