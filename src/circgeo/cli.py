@@ -245,9 +245,12 @@ def _cmd_quadric(args) -> int:
     spec = QuadricSpec(args.r2)
     # Flags checked, profile computed and --mesh file opened first: a bad flag or path prints nothing.
     n_s, n_theta = _parse_numbers("--samples", "NS,NT", args.samples, int)
-    try:
-        extent = mesh_extent(spec, n_s, n_theta, args.t_max)
-        profile = None if args.mesh is None else mesh_profile(spec, n_s, n_theta, extent)
+    profile = None
+    try:  # mesh_profile runs mesh_extent's checks itself
+        if args.mesh is None:
+            mesh_extent(spec, n_s, n_theta, args.t_max)
+        else:
+            profile = mesh_profile(spec, n_s, n_theta, args.t_max)
     except (BadSampleCountsError, MemoryError) as exc:  # MemoryError: numpy cannot allocate the profile
         raise GeometryError(f"--samples {args.samples}: {exc}") from None
     with open(args.mesh, "w", encoding="utf-8", newline="\n") if profile else contextlib.nullcontext() as fh:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import EPS_ANGLE, EPS_NULL, AngleDomainError, GeometryError, _scalar, fmt_float
+from .core import EPS_ANGLE, AngleDomainError, GeometryError, _level_sign, _scalar, fmt_float
 
 __all__ = [
     "PHI_MIN",
@@ -190,6 +190,17 @@ def _line_pair_equation(k: ConicCoefficients, disc: float) -> str:
     return f"y = {fmt_float(m1)}*x ; y = {fmt_float(m2)}*x"
 
 
+# (class, extension) of each angle region of classify_conic for r2 > 0,
+# r2 ~ 0 and r2 < 0, indexed by 1 - _level_sign(r2).
+_CLASS_BY_REGION = {
+    "c = -1/2": ((ConicClass.NO_REAL_POINTS, False), (ConicClass.POINT, False), (ConicClass.CIRCLE, False)),
+    "c = -1/3": (
+        (ConicClass.NO_REAL_POINTS, False), (ConicClass.SINGLE_LINE, False), (ConicClass.PARALLEL_LINES, False)),
+    "D > 0": ((ConicClass.HYPERBOLA, False), (ConicClass.INTERSECTING_LINES, True), (ConicClass.HYPERBOLA, False)),
+    "D < 0": ((ConicClass.NO_REAL_POINTS, True), (ConicClass.POINT, True), (ConicClass.ELLIPSE, False)),
+}
+
+
 def classify_conic(spec: ConicSpec) -> ConicClassification:
     """Full classification over the (cos phi, r2) decision table.
 
@@ -208,57 +219,34 @@ def classify_conic(spec: ConicSpec) -> ConicClassification:
       so r2 < 0 gives an ellipse, r2 ~ 0 the origin alone, r2 > 0 nothing
       (the last two flagged as extensions).
     """
-    c = spec.cos_phi
-    r2 = spec.r2
+    c, r2 = spec.cos_phi, spec.r2
+    sign = _level_sign(r2)
     k = conic_coefficients(spec)
-    near_zero_r2 = abs(r2) <= EPS_NULL
-
     if abs(c + 0.5) <= EPS_ANGLE:
-        equation = f"x^2+y^2 = {fmt_float(-r2)}"
-        if near_zero_r2:
-            return ConicClassification(ConicClass.POINT, equation, extension=False)
-        if r2 < 0.0:
-            return ConicClassification(
-                ConicClass.CIRCLE, equation, extension=False, circle_radius=math.sqrt(-r2)
-            )
-        return ConicClassification(ConicClass.NO_REAL_POINTS, equation, extension=False)
-
-    if abs(c + 1.0 / 3.0) <= EPS_ANGLE:
+        region, equation = "c = -1/2", f"x^2+y^2 = {fmt_float(-r2)}"
+    elif abs(c + 1.0 / 3.0) <= EPS_ANGLE:
         _check_degenerate_r2(r2)
-        if near_zero_r2:
-            return ConicClassification(
-                ConicClass.SINGLE_LINE, f"y = {fmt_float(_SQRT2)}*x", extension=False
-            )
-        if r2 < 0.0:
-            offset = math.sqrt(-3.0 * r2)
-            return ConicClassification(
-                ConicClass.PARALLEL_LINES,
-                f"sqrt(2)*x - y = ±{fmt_float(offset)}",
-                extension=False,
-            )
-        return ConicClassification(
-            ConicClass.NO_REAL_POINTS,
-            f"(sqrt(2)*x - y)^2 = {fmt_float(-3.0 * r2)}",
-            extension=False,
-        )
-
-    disc = discriminant(spec)
-    if disc > 0.0:
-        if near_zero_r2:
-            return ConicClassification(
-                ConicClass.INTERSECTING_LINES, _line_pair_equation(k, disc), extension=True
-            )
-        if abs(c) <= EPS_ANGLE:
-            equation = f"xy = {fmt_float(spec.r2 / 2.0)}"
+        region = "c = -1/3"
+        if sign == 0:
+            equation = f"y = {fmt_float(_SQRT2)}*x"
+        elif r2 < 0.0:
+            equation = f"sqrt(2)*x - y = ±{fmt_float(math.sqrt(-3.0 * r2))}"
+        else:
+            equation = f"(sqrt(2)*x - y)^2 = {fmt_float(-3.0 * r2)}"
+    elif (disc := discriminant(spec)) > 0.0:
+        region = "D > 0"
+        if sign == 0:
+            equation = _line_pair_equation(k, disc)
+        elif abs(c) <= EPS_ANGLE:
+            equation = f"xy = {fmt_float(r2 / 2.0)}"
         else:
             equation = _general_equation(k)
-        return ConicClassification(ConicClass.HYPERBOLA, equation, extension=False)
-
-    if near_zero_r2:
-        return ConicClassification(ConicClass.POINT, "x = y = 0", extension=True)
-    if r2 < 0.0:
-        return ConicClassification(ConicClass.ELLIPSE, _general_equation(k), extension=False)
-    return ConicClassification(ConicClass.NO_REAL_POINTS, _general_equation(k), extension=True)
+    else:
+        region, equation = "D < 0", "x = y = 0" if sign == 0 else _general_equation(k)
+    kind, extension = _CLASS_BY_REGION[region][1 - sign]
+    # The roots test r2 < 0 directly, so a wrong sign from the band cannot make sqrt raise.
+    radius = math.sqrt(-r2) if kind is ConicClass.CIRCLE and r2 < 0.0 else None
+    return ConicClassification(kind, equation, extension, radius)
 
 
 def _check_degenerate_r2(r2: float) -> None:

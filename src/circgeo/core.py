@@ -99,6 +99,11 @@ EPS_ANGLE = 1e-9
 _Q = [1, 2, 0]
 
 
+def _level_sign(r2: float) -> int:
+    """1, 0 or -1 by the sign of a level constant, with 0 on the band |r2| <= EPS_NULL, its edge included."""
+    return 0 if abs(r2) <= EPS_NULL else 1 if r2 > 0.0 else -1
+
+
 def _scalar(x):
     """A 0-d result as a Python float; arrays pass through."""
     return float(x) if np.ndim(x) == 0 else x

@@ -17,10 +17,10 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    EPS_NULL,
     BadSampleCountsError,
     CausalCharacter,
     GeometryError,
+    _level_sign,
     _scalar,
     as_vector,
     fmt_float,
@@ -113,11 +113,17 @@ def primed_form_value(vp) -> float | np.ndarray:
     return _scalar(-(x * x + y * y - 2.0 * z * z))
 
 
+# The class of the level set and the character of its radius vectors, by _level_sign(r2).
+_BY_LEVEL_SIGN = {
+    1: (QuadricClass.TWO_SHEETS, CausalCharacter.SPACELIKE),
+    0: (QuadricClass.CONE, CausalCharacter.NULL),
+    -1: (QuadricClass.ONE_SHEET, CausalCharacter.TIMELIKE),
+}
+
+
 def classify_quadric(spec: QuadricSpec) -> QuadricClass:
     """Cone for |r2| <= EPS_NULL, two sheets for r2 > 0, one sheet for r2 < 0."""
-    if abs(spec.r2) <= EPS_NULL:
-        return QuadricClass.CONE
-    return QuadricClass.TWO_SHEETS if spec.r2 > 0.0 else QuadricClass.ONE_SHEET
+    return _BY_LEVEL_SIGN[_level_sign(spec.r2)][0]
 
 
 def quadric_equation(spec: QuadricSpec) -> str:
@@ -127,12 +133,7 @@ def quadric_equation(spec: QuadricSpec) -> str:
 
 def radius_vector_character(spec: QuadricSpec) -> CausalCharacter:
     """Character of every radius vector of the surface: f(v, v) = r2 pointwise."""
-    kind = classify_quadric(spec)
-    if kind is QuadricClass.CONE:
-        return CausalCharacter.NULL
-    if kind is QuadricClass.TWO_SHEETS:
-        return CausalCharacter.SPACELIKE
-    return CausalCharacter.TIMELIKE
+    return _BY_LEVEL_SIGN[_level_sign(spec.r2)][1]
 
 
 def cone_sphere_intersection() -> CircleIntersection:

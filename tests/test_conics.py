@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from circgeo import (
+    EPS_NULL,
     PHI_MAX,
     PHI_MIN,
     AngleDomainError,
@@ -161,29 +162,80 @@ def test_discriminant_sign_agreement_with_alt_form():
 # ---------------------------------------------------------------- classification
 
 
+def conic_row(c, r2, kind, extension, equation, circle_radius=None):
+    """A row of the table, named by its first four fields."""
+    return pytest.param(c, r2, kind, extension, equation, circle_radius, id=f"{c}-{r2}-{kind}-{extension}")
+
+
+# The levels around the band |r2| <= EPS_NULL: its edges, the floats just
+# outside them, -0.0 and the smallest subnormals.
+EPS_UP = math.nextafter(EPS_NULL, math.inf)
+TINY = 5e-324
+# Equations that several rows share.
+SINGLE_LINE = f"y = {SQRT2!r}*x"
+LINE_PAIR_AT_HALF = "y = -0.4088817310696624*x ; y = 7.337084961345173*x"
+FORM_AT_HALF = "0.5*x^2 + 1.1547005383792517*xy - 0.16666666666666666*y^2"
+FORM_AT_MINUS_04 = "-0.4*x^2 + 0.3055050463303893*xy - 0.2666666666666667*y^2"
+
+
 @pytest.mark.parametrize(
-    "c,r2,kind,extension",
+    "c,r2,kind,extension,equation,circle_radius",
     [
-        (0.5, 1.5, ConicClass.HYPERBOLA, False),
-        (0.0, -2.0, ConicClass.HYPERBOLA, False),
-        (0.9, 1e-3, ConicClass.HYPERBOLA, False),
-        (0.5, 0.0, ConicClass.INTERSECTING_LINES, True),
-        (0.0, 0.0, ConicClass.INTERSECTING_LINES, True),
-        (THIRD, 1.0, ConicClass.NO_REAL_POINTS, False),
-        (THIRD, 0.0, ConicClass.SINGLE_LINE, False),
-        (THIRD, -1.0, ConicClass.PARALLEL_LINES, False),
-        (-0.4, -1.0, ConicClass.ELLIPSE, False),
-        (-0.4, 0.0, ConicClass.POINT, True),
-        (-0.4, 1.0, ConicClass.NO_REAL_POINTS, True),
-        (-0.5, -1.0, ConicClass.CIRCLE, False),
-        (-0.5, 0.0, ConicClass.POINT, False),
-        (-0.5, 1.0, ConicClass.NO_REAL_POINTS, False),
+        conic_row(0.5, 1.5, ConicClass.HYPERBOLA, False, f"{FORM_AT_HALF} = 0.75"),
+        conic_row(0.0, -2.0, ConicClass.HYPERBOLA, False, "xy = -1"),
+        conic_row(0.9, 1e-3, ConicClass.HYPERBOLA, False,
+                  "0.9*x^2 + 0.6423640548375729*xy - 0.42631578947368426*y^2 = 0.0005"),
+        conic_row(0.5, 0.0, ConicClass.INTERSECTING_LINES, True, LINE_PAIR_AT_HALF),
+        conic_row(0.0, 0.0, ConicClass.INTERSECTING_LINES, True, "x = 0 ; y = 0*x"),
+        conic_row(THIRD, 1.0, ConicClass.NO_REAL_POINTS, False, "(sqrt(2)*x - y)^2 = -3"),
+        conic_row(THIRD, 0.0, ConicClass.SINGLE_LINE, False, SINGLE_LINE),
+        conic_row(THIRD, -1.0, ConicClass.PARALLEL_LINES, False, "sqrt(2)*x - y = ±1.7320508075688772"),
+        conic_row(-0.4, -1.0, ConicClass.ELLIPSE, False, f"{FORM_AT_MINUS_04} = -0.5"),
+        conic_row(-0.4, 0.0, ConicClass.POINT, True, "x = y = 0"),
+        conic_row(-0.4, 1.0, ConicClass.NO_REAL_POINTS, True, f"{FORM_AT_MINUS_04} = 0.5"),
+        conic_row(-0.5, -1.0, ConicClass.CIRCLE, False, "x^2+y^2 = 1", 1.0),
+        conic_row(-0.5, 0.0, ConicClass.POINT, False, "x^2+y^2 = 0"),
+        conic_row(-0.5, 1.0, ConicClass.NO_REAL_POINTS, False, "x^2+y^2 = -1"),
+        # c = -1/2
+        conic_row(-0.5, EPS_NULL, ConicClass.POINT, False, "x^2+y^2 = -1e-09"),
+        conic_row(-0.5, -EPS_NULL, ConicClass.POINT, False, "x^2+y^2 = 1e-09"),
+        conic_row(-0.5, EPS_UP, ConicClass.NO_REAL_POINTS, False, "x^2+y^2 = -1.0000000000000003e-09"),
+        conic_row(-0.5, -EPS_UP, ConicClass.CIRCLE, False, "x^2+y^2 = 1.0000000000000003e-09", 3.1622776601683795e-05),
+        conic_row(-0.5, -0.0, ConicClass.POINT, False, "x^2+y^2 = 0"),
+        conic_row(-0.5, TINY, ConicClass.POINT, False, "x^2+y^2 = -5e-324"),
+        conic_row(-0.5, -TINY, ConicClass.POINT, False, "x^2+y^2 = 5e-324"),
+        # c = -1/3, where D = 0
+        conic_row(THIRD, EPS_NULL, ConicClass.SINGLE_LINE, False, SINGLE_LINE),
+        conic_row(THIRD, -EPS_NULL, ConicClass.SINGLE_LINE, False, SINGLE_LINE),
+        conic_row(THIRD, EPS_UP, ConicClass.NO_REAL_POINTS, False, "(sqrt(2)*x - y)^2 = -3.000000000000001e-09"),
+        conic_row(THIRD, -EPS_UP, ConicClass.PARALLEL_LINES, False, "sqrt(2)*x - y = ±5.477225575051662e-05"),
+        conic_row(THIRD, -0.0, ConicClass.SINGLE_LINE, False, SINGLE_LINE),
+        conic_row(THIRD, TINY, ConicClass.SINGLE_LINE, False, SINGLE_LINE),
+        conic_row(THIRD, -TINY, ConicClass.SINGLE_LINE, False, SINGLE_LINE),
+        # D > 0
+        conic_row(0.5, EPS_NULL, ConicClass.INTERSECTING_LINES, True, LINE_PAIR_AT_HALF),
+        conic_row(0.5, -EPS_NULL, ConicClass.INTERSECTING_LINES, True, LINE_PAIR_AT_HALF),
+        conic_row(0.5, EPS_UP, ConicClass.HYPERBOLA, False, f"{FORM_AT_HALF} = 5.000000000000001e-10"),
+        conic_row(0.5, -EPS_UP, ConicClass.HYPERBOLA, False, f"{FORM_AT_HALF} = -5.000000000000001e-10"),
+        conic_row(0.5, -0.0, ConicClass.INTERSECTING_LINES, True, LINE_PAIR_AT_HALF),
+        conic_row(0.5, TINY, ConicClass.INTERSECTING_LINES, True, LINE_PAIR_AT_HALF),
+        conic_row(0.5, -TINY, ConicClass.INTERSECTING_LINES, True, LINE_PAIR_AT_HALF),
+        # D < 0
+        conic_row(-0.4, EPS_NULL, ConicClass.POINT, True, "x = y = 0"),
+        conic_row(-0.4, -EPS_NULL, ConicClass.POINT, True, "x = y = 0"),
+        conic_row(-0.4, EPS_UP, ConicClass.NO_REAL_POINTS, True, f"{FORM_AT_MINUS_04} = 5.000000000000001e-10"),
+        conic_row(-0.4, -EPS_UP, ConicClass.ELLIPSE, False, f"{FORM_AT_MINUS_04} = -5.000000000000001e-10"),
+        conic_row(-0.4, -0.0, ConicClass.POINT, True, "x = y = 0"),
+        conic_row(-0.4, TINY, ConicClass.POINT, True, "x = y = 0"),
+        conic_row(-0.4, -TINY, ConicClass.POINT, True, "x = y = 0"),
     ],
 )
-def test_classification_table(c, r2, kind, extension):
+def test_classification_table(c, r2, kind, extension, equation, circle_radius):
     result = classify_conic(ConicSpec(c, r2))
     assert result.kind is kind
     assert result.extension is extension
+    assert result.equation == equation
+    assert result.circle_radius == circle_radius
 
 
 def test_classification_equations():

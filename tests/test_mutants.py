@@ -131,6 +131,12 @@ ROWS = [
         mapped(lambda out: (out[0] * (1.0 + 1e-10), *out[1:])), "classify_many_vs_dense"),
     row("classify_many without the null band", "classify_many",
         reading(lambda m, rows: (m, rows, 1e-300)), "qbasis_vectors_null"),
+    row("level sign reads 0 as +1", "_level_sign", mapped(lambda sign: sign or 1),
+        "conic_class_table", "mesh_on_surface", "quadric_class_table"),
+    # The oracle's decision tables read no r2 near the band; the band-edge rows of
+    # test_classification_table and test_quadric_classification pin these two.
+    row("level band 2x wide", "_level_sign", with_globals(EPS_NULL=2.0 * core.EPS_NULL)),
+    row("level band edge exclusive", "_level_sign", with_globals(EPS_NULL=math.nextafter(core.EPS_NULL, 0.0))),
     # frames
     row("q-basis of circ(a, b/2, b/2)", "orthonormal_q_basis",
         reading(lambda m: (CirculantMetric(m.a, 0.5 * m.b),)), "qbasis_gram_identity", "qbasis_vectors_null"),

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circgeo import (
+    EPS_NULL,
     ROTATION,
     BadSampleCountsError,
     CausalCharacter,
@@ -98,12 +99,24 @@ def test_form_values_broadcast():
         assert primed_form_value(primed)[i] == primed_form_value(primed[i])
 
 
+EPS_UP = math.nextafter(EPS_NULL, math.inf)
+
+
 @pytest.mark.parametrize(
     "r2,kind,character,equation",
     [
         (0.0, QuadricClass.CONE, CausalCharacter.NULL, "x'^2+y'^2-2z'^2 = 0"),
         (2.0, QuadricClass.TWO_SHEETS, CausalCharacter.SPACELIKE, "x'^2+y'^2-2z'^2 = -2"),
         (-1.0, QuadricClass.ONE_SHEET, CausalCharacter.TIMELIKE, "x'^2+y'^2-2z'^2 = 1"),
+        # The band |r2| <= EPS_NULL: its edges, the floats just outside them,
+        # -0.0 and the smallest subnormals.
+        (EPS_NULL, QuadricClass.CONE, CausalCharacter.NULL, "x'^2+y'^2-2z'^2 = -1e-09"),
+        (-EPS_NULL, QuadricClass.CONE, CausalCharacter.NULL, "x'^2+y'^2-2z'^2 = 1e-09"),
+        (EPS_UP, QuadricClass.TWO_SHEETS, CausalCharacter.SPACELIKE, "x'^2+y'^2-2z'^2 = -1.0000000000000003e-09"),
+        (-EPS_UP, QuadricClass.ONE_SHEET, CausalCharacter.TIMELIKE, "x'^2+y'^2-2z'^2 = 1.0000000000000003e-09"),
+        (-0.0, QuadricClass.CONE, CausalCharacter.NULL, "x'^2+y'^2-2z'^2 = 0"),
+        (5e-324, QuadricClass.CONE, CausalCharacter.NULL, "x'^2+y'^2-2z'^2 = -5e-324"),
+        (-5e-324, QuadricClass.CONE, CausalCharacter.NULL, "x'^2+y'^2-2z'^2 = 5e-324"),
     ],
 )
 def test_quadric_classification(r2, kind, character, equation):
