@@ -160,34 +160,16 @@ def discriminant_closed_form(c: float) -> float:
     return (1.0 + 3.0 * c) / (1.0 + c)
 
 
-def _signed_terms(*terms: tuple[float, str]) -> str:
-    parts: list[str] = []
-    for coeff, sym in terms:
-        if coeff == 0.0:
-            continue
-        if not parts:
-            parts.append(f"{fmt_float(coeff)}*{sym}")
-        elif coeff < 0.0:
-            parts.append(f"- {fmt_float(-coeff)}*{sym}")
-        else:
-            parts.append(f"+ {fmt_float(coeff)}*{sym}")
-    return " ".join(parts) if parts else "0"
-
-
 def _general_equation(k: ConicCoefficients) -> str:
-    lhs = _signed_terms((k.A, "x^2"), (k.B, "xy"), (k.C, "y^2"))
-    return f"{lhs} = {fmt_float(k.rhs)}"
+    # Reached only away from the special angles, where B > 0 and C < 0.
+    return f"{fmt_float(k.A)}*x^2 + {fmt_float(k.B)}*xy - {fmt_float(-k.C)}*y^2 = {fmt_float(k.rhs)}"
 
 
 def _line_pair_equation(k: ConicCoefficients, disc: float) -> str:
-    # Slopes of y = m x solving A + B m + C m^2 = 0; C = 0 only at c = 0,
-    # where one line is the vertical axis.
-    if abs(k.C) < 1e-300:
-        return f"x = 0 ; y = {fmt_float(-k.A / k.B)}*x"
-    root = math.sqrt(disc)
-    m1 = (-k.B + root) / (2.0 * k.C)
-    m2 = (-k.B - root) / (2.0 * k.C)
-    return f"y = {fmt_float(m1)}*x ; y = {fmt_float(m2)}*x"
+    # Slopes of y = m x solving A + B m + C m^2 = 0. B > 0, so t = -B - sqrt(D)
+    # does not cancel; the other root comes from the product of the roots, A/C.
+    t = -k.B - math.sqrt(disc)
+    return f"y = {fmt_float(2.0 * k.A / t)}*x ; y = {fmt_float(t / (2.0 * k.C))}*x"
 
 
 # (class, extension) of each angle region of classify_conic for r2 > 0,
@@ -214,7 +196,11 @@ def classify_conic(spec: ConicSpec) -> ConicClassification:
       GeometryError when 3 r2 overflows.
     * D > 0: hyperbola for r2 != 0; a pair of intersecting lines for r2 ~ 0
       (extension: follows from standard conic theory alone, not from one of
-      the special-angle identities above).
+      the special-angle identities above). A c within EPS_ANGLE of 0 is read
+      as c = 0 for every r2: xy = r2/2, whose lines at r2 ~ 0 are the axes
+      x = 0 ; y = 0*x. Elsewhere, for c >= -0.3, the two slopes are within
+      2 ulps of the exact roots of the printed coefficients; nearer the
+      double root at c = -1/3, B^2 - 4AC cancels.
     * D < 0 at interior angles: the form is negative definite (A = c < 0),
       so r2 < 0 gives an ellipse, r2 ~ 0 the origin alone, r2 > 0 nothing
       (the last two flagged as extensions).
@@ -235,10 +221,10 @@ def classify_conic(spec: ConicSpec) -> ConicClassification:
             equation = f"(sqrt(2)*x - y)^2 = {fmt_float(-3.0 * r2)}"
     elif (disc := discriminant(spec)) > 0.0:
         region = "D > 0"
-        if sign == 0:
+        if abs(c) <= EPS_ANGLE:
+            equation = "x = 0 ; y = 0*x" if sign == 0 else f"xy = {fmt_float(r2 / 2.0)}"
+        elif sign == 0:
             equation = _line_pair_equation(k, disc)
-        elif abs(c) <= EPS_ANGLE:
-            equation = f"xy = {fmt_float(r2 / 2.0)}"
         else:
             equation = _general_equation(k)
     else:

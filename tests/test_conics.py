@@ -1,12 +1,18 @@
 """Plane conic pipeline: frame form values, coefficients, discriminant, classes."""
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circgeo import conics
 from circgeo import (
+    COS_PHI_MAX,
+    EPS_ANGLE,
     EPS_NULL,
     PHI_MAX,
     PHI_MIN,
@@ -171,11 +177,20 @@ def conic_row(c, r2, kind, extension, equation, circle_radius=None):
 # outside them, -0.0 and the smallest subnormals.
 EPS_UP = math.nextafter(EPS_NULL, math.inf)
 TINY = 5e-324
+# The edges of the band |c| <= EPS_ANGLE, where c is read as 0, and the
+# floats just outside them.
+ANGLE_UP = math.nextafter(EPS_ANGLE, math.inf)
 # Equations that several rows share.
+AXES = "x = 0 ; y = 0*x"
 SINGLE_LINE = f"y = {SQRT2!r}*x"
-LINE_PAIR_AT_HALF = "y = -0.4088817310696624*x ; y = 7.337084961345173*x"
+# The first slope is 1.07 ulps from the exact root of the printed
+# coefficients (mpmath at 200 bits); the textbook (-B + sqrt(D))/(2C) read
+# -0.4088817310696624, 2.93 ulps off.
+LINE_PAIR_AT_HALF = "y = -0.4088817310696622*x ; y = 7.337084961345173*x"
 FORM_AT_HALF = "0.5*x^2 + 1.1547005383792517*xy - 0.16666666666666666*y^2"
 FORM_AT_MINUS_04 = "-0.4*x^2 + 0.3055050463303893*xy - 0.2666666666666667*y^2"
+FORM_PAST_EPS_ANGLE = "1.0000000000000003e-09*x^2 + 1.0000000009999999*xy - 9.999999990000004e-19*y^2"
+FORM_PAST_MINUS_EPS_ANGLE = "-1.0000000000000003e-09*x^2 + 0.999999999*xy - 1.0000000010000005e-18*y^2"
 
 
 @pytest.mark.parametrize(
@@ -186,7 +201,7 @@ FORM_AT_MINUS_04 = "-0.4*x^2 + 0.3055050463303893*xy - 0.2666666666666667*y^2"
         conic_row(0.9, 1e-3, ConicClass.HYPERBOLA, False,
                   "0.9*x^2 + 0.6423640548375729*xy - 0.42631578947368426*y^2 = 0.0005"),
         conic_row(0.5, 0.0, ConicClass.INTERSECTING_LINES, True, LINE_PAIR_AT_HALF),
-        conic_row(0.0, 0.0, ConicClass.INTERSECTING_LINES, True, "x = 0 ; y = 0*x"),
+        conic_row(0.0, 0.0, ConicClass.INTERSECTING_LINES, True, AXES),
         conic_row(THIRD, 1.0, ConicClass.NO_REAL_POINTS, False, "(sqrt(2)*x - y)^2 = -3"),
         conic_row(THIRD, 0.0, ConicClass.SINGLE_LINE, False, SINGLE_LINE),
         conic_row(THIRD, -1.0, ConicClass.PARALLEL_LINES, False, "sqrt(2)*x - y = ±1.7320508075688772"),
@@ -228,6 +243,21 @@ FORM_AT_MINUS_04 = "-0.4*x^2 + 0.3055050463303893*xy - 0.2666666666666667*y^2"
         conic_row(-0.4, -0.0, ConicClass.POINT, True, "x = y = 0"),
         conic_row(-0.4, TINY, ConicClass.POINT, True, "x = y = 0"),
         conic_row(-0.4, -TINY, ConicClass.POINT, True, "x = y = 0"),
+        # c = 0 within EPS_ANGLE, and just past it
+        conic_row(EPS_ANGLE, 0.0, ConicClass.INTERSECTING_LINES, True, AXES),
+        conic_row(EPS_ANGLE, 1.0, ConicClass.HYPERBOLA, False, "xy = 0.5"),
+        conic_row(EPS_ANGLE, -1.0, ConicClass.HYPERBOLA, False, "xy = -0.5"),
+        conic_row(-EPS_ANGLE, 0.0, ConicClass.INTERSECTING_LINES, True, AXES),
+        conic_row(-EPS_ANGLE, 1.0, ConicClass.HYPERBOLA, False, "xy = 0.5"),
+        conic_row(-EPS_ANGLE, -1.0, ConicClass.HYPERBOLA, False, "xy = -0.5"),
+        conic_row(ANGLE_UP, 0.0, ConicClass.INTERSECTING_LINES, True,
+                  "y = -9.999999990000003e-10*x ; y = 1.0000000019999995e+18*x"),
+        conic_row(ANGLE_UP, 1.0, ConicClass.HYPERBOLA, False, f"{FORM_PAST_EPS_ANGLE} = 0.5"),
+        conic_row(ANGLE_UP, -1.0, ConicClass.HYPERBOLA, False, f"{FORM_PAST_EPS_ANGLE} = -0.5"),
+        conic_row(-ANGLE_UP, 0.0, ConicClass.INTERSECTING_LINES, True,
+                  "y = 1.0000000010000002e-09*x ; y = 9.999999979999995e+17*x"),
+        conic_row(-ANGLE_UP, 1.0, ConicClass.HYPERBOLA, False, f"{FORM_PAST_MINUS_EPS_ANGLE} = 0.5"),
+        conic_row(-ANGLE_UP, -1.0, ConicClass.HYPERBOLA, False, f"{FORM_PAST_MINUS_EPS_ANGLE} = -0.5"),
     ],
 )
 def test_classification_table(c, r2, kind, extension, equation, circle_radius):
@@ -271,6 +301,50 @@ def test_intersecting_lines_points_satisfy_equation():
         assert part.startswith("y = ") and part.endswith("*x")
         m_line = float(part[4:-2])
         assert abs(k.A + k.B * m_line + k.C * m_line * m_line) <= 1e-12
+
+
+def _slope_ulps(c):
+    """Distance in ulps of each printed slope at r2 = 0 from the exact root of
+    the printed coefficients, (-B + sqrt(D))/(2C) and (-B - sqrt(D))/(2C)."""
+    k = conic_coefficients(ConicSpec(c, 0.0))
+    slopes = [float(part.strip()[4:-2]) for part in classify_conic(ConicSpec(c, 0.0)).equation.split(";")]
+    with mpmath.workprec(200):
+        A, B, C = (mpmath.mpf(v) for v in (k.A, k.B, k.C))
+        root = mpmath.sqrt(B * B - 4 * A * C)
+        exact = ((-B + root) / (2 * C), (-B - root) / (2 * C))
+        return [float(abs(m - e)) / math.ulp(float(e)) for m, e in zip(slopes, exact)]
+
+
+# (-1/3, -0.3) is left out: as D -> 0, B^2 - 4AC cancels and both slopes
+# read hundreds of ulps off (658 at c = -1/3 + 2e-9).
+@pytest.mark.parametrize("lo,hi", [(ANGLE_UP, COS_PHI_MAX), (-ANGLE_UP, -0.3)])
+def test_line_pair_slopes_within_2_ulps(lo, hi):
+    # The textbook first slope (-B + sqrt(D))/(2C) cancels as c -> 0: it
+    # reads 2e16 ulps off at c = 3e-6.
+    for c in np.geomspace(lo, hi, 300):
+        assert max(_slope_ulps(float(c))) <= 2.0, c
+
+
+ANGLE_EDGES = [-0.5 + 1.0000001e-9, THIRD - 1.0000001e-9, THIRD + 1.0000001e-9, -ANGLE_UP, ANGLE_UP, COS_PHI_MAX]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.floats(-0.5, THIRD) | st.floats(THIRD, COS_PHI_MAX) | st.sampled_from(ANGLE_EDGES),
+    r2=st.floats(EPS_UP, 1e307),
+    negative=st.booleans(),
+)
+def test_general_equation_has_fixed_signs(c, r2, negative):
+    # The printer writes "A*x^2 + B*xy - (-C)*y^2": it is reached exactly
+    # away from c ~ -1/2, -1/3 and 0, with r2 off the band, in both the
+    # D > 0 and the D < 0 region, and there A != 0, B > 0 and C < 0.
+    with mock.patch.object(conics, "_general_equation", wraps=conics._general_equation) as printer:
+        classify_conic(ConicSpec(c, -r2 if negative else r2))
+    away = min(abs(c + 0.5), abs(c - THIRD), abs(c)) > EPS_ANGLE
+    assert printer.call_count == away
+    for call in printer.call_args_list:
+        k = call.args[0]
+        assert k.A != 0.0 and k.B > 0.0 and k.C < 0.0
 
 
 def test_single_line_points_satisfy_equation():

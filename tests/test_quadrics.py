@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circgeo import quadrics
 from circgeo import (
     EPS_NULL,
     ROTATION,
@@ -206,6 +208,48 @@ def test_unit_circle_exact_symmetries(n):
         angles = [2 * mpmath.pi * k / n for k in range(n)]
         error = max(max(abs(mpmath.cos(t) - c), abs(mpmath.sin(t) - s)) for t, c, s in zip(angles, cos, sin))
     assert error <= 2.0**-52
+
+
+def _ulps(got, exact):
+    return float(abs(mpmath.mpf(got) - exact)) / math.ulp(float(exact))
+
+
+def test_mesh_libm_values_within_ulps_of_mpmath():
+    # The mesh digests pin this platform's libm cos, sin, sinh and cosh; this
+    # bounds how far they may lie from the exact values. Exact zeros of cos
+    # and sin (quarter and half turns) must be exact zeros in the table.
+    worst_circle = 0.0
+    with mpmath.workprec(80):
+        for n in (3, 4, 5, 7, 8, 9, 12, 16, 64, 100, 511, 512, 777, 1000, 1001, 1023, 1024, 4097):
+            for j, (c, s) in enumerate(zip(*_unit_circle(n))):
+                turns = mpmath.mpf(2 * j) / n  # 2*pi*j/n in units of pi
+                for got, zero, exact in ((c, 4 * j % n == 0 and 4 * j // n % 2 == 1, mpmath.cospi),
+                                         (s, 2 * j % n == 0, mpmath.sinpi)):
+                    if zero:
+                        assert got == 0.0, (n, j)
+                    else:
+                        worst_circle = max(worst_circle, _ulps(got, exact(turns)))
+    # 2.30 at n = 4097: the folded argument (pi/2)(k/n) is rounded before
+    # cos and sin see it, and that rounding is IEEE and the same everywhere.
+    assert worst_circle <= 3.0
+    # sinh and cosh at the float profile parameters s of the pinned meshes.
+    with mock.patch.object(quadrics, "_math_map", wraps=quadrics._math_map) as math_map:
+        for r2, rows in ((2.5, (2, 33, 64, 4000)), (-1.0, (2, 64, 65, 301))):
+            for n_s in rows:
+                mesh_profile(QuadricSpec(r2), n_s, 3)
+    worst_profile = 0.0
+    with mpmath.workprec(80):
+        for call in math_map.call_args_list:
+            fn, s = call.args
+            exact = {math.sinh: mpmath.sinh, math.cosh: mpmath.cosh}.get(fn)
+            if exact is None:  # the angle table of mesh_profile's three columns
+                continue
+            for t in s.tolist():
+                if t == 0.0 and fn is math.sinh:
+                    assert fn(t) == 0.0
+                else:
+                    worst_profile = max(worst_profile, _ulps(fn(t), exact(t)))
+    assert 0.0 < worst_profile <= 2.0  # 1.56 here
 
 
 def test_unit_circle_memory_per_angle():
