@@ -96,7 +96,7 @@ EPS_NULL = 1e-9
 EPS_ANGLE = 1e-9
 
 # The cyclic shift (x, y, z) -> (y, z, x) as an index along the last axis.
-_Q = [1, 2, 0]
+_Q = np.array([1, 2, 0])
 
 
 def _level_sign(r2: float) -> int:
@@ -114,27 +114,31 @@ class CirculantMetric:
     """Positive definite metric circ(a, b, b): diagonal a, off-diagonal b.
 
     The eigenvalues of circ(a, b, b) are a + 2b (once) and a - b (twice), so
-    positive definiteness is exactly a + 2b > 0 and a - b > 0; a > 0 follows
-    but is checked too since it guards against swapped arguments. a and b may
-    be arrays, a stack of metrics that broadcasts, numpy style, against the
-    shape of a vector stack without its last axis; every entry is validated.
-    Scalars are kept as floats.
+    positive definiteness is exactly a + 2b > 0 and a - b > 0; a > 0 follows.
+    a and b may be arrays, a stack of metrics that broadcasts, numpy style,
+    against the shape of a vector stack without its last axis; every entry is
+    validated. Scalars are kept as floats. The scaled coefficients that the
+    forms read (_scaled_metric) are computed once, by the validation.
     """
 
     a: float | np.ndarray
     b: float | np.ndarray
 
     def __post_init__(self):
-        a, b = np.broadcast_arrays(np.array(self.a, dtype=float), np.array(self.b, dtype=float))
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise InvalidMetricError("metric coefficients must be finite")
+        a, b = np.array(self.a, dtype=float), np.array(self.b, dtype=float)
+        if a.shape != b.shape:
+            a, b = np.broadcast_arrays(a, b)
         # Tested on the scaled coefficients, where no valid metric overflows;
-        # an invalid b may scale or double to +-inf, which still fails.
-        with np.errstate(over="ignore"):
-            a_s, b_s, _ = _scaled_metric(a, b)
-            bad = ~((a_s > 0.0) & (a_s - b_s > 0.0) & (a_s + 2.0 * b_s > 0.0))
-        if bad.any():
-            i = np.argmax(bad)
+        # an invalid b may scale or double to +-inf, which still fails. The
+        # scaled a lies in [1/2, 1) for every finite a > 0, so a_s < 1 fails
+        # on inf and nan, and a > 0 follows from the other two tests.
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_s, b_s, exponent = _scaled_metric(a, b)
+            ok = (a_s < 1.0) & (a_s - b_s > 0.0) & (a_s + 2.0 * b_s > 0.0)
+        if not ok.all():
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                raise InvalidMetricError("metric coefficients must be finite")
+            i = np.argmin(ok)
             a, b = float(a.flat[i]), float(b.flat[i])
             raise InvalidMetricError(
                 f"circ({a}, {b}, {b}) is not positive definite: "
@@ -142,6 +146,7 @@ class CirculantMetric:
             )
         object.__setattr__(self, "a", _scalar(a))
         object.__setattr__(self, "b", _scalar(b))
+        object.__setattr__(self, "_scaled", (a_s, b_s, exponent))
 
 
 def as_vector(u) -> np.ndarray:
@@ -170,7 +175,8 @@ def _unit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the products below neither overflow nor underflow, and a result scaled
     back with _ldexp is the unscaled result wherever that one is in range.
     """
-    _, exponent = np.frexp(np.abs(x).max(axis=-1, initial=0.0))
+    ax = np.abs(x)
+    _, exponent = np.frexp(np.maximum(np.maximum(ax[..., 0], ax[..., 1]), ax[..., 2]))
     return np.ldexp(x, -exponent[..., None]), exponent
 
 
@@ -185,12 +191,22 @@ def _scaled_metric(a, b):
     return np.ldexp(a, -exponent), np.ldexp(b, -exponent), exponent
 
 
+def _metric(m: CirculantMetric):
+    """_scaled_metric of m's coefficients; a valid metric computed it once, in __post_init__."""
+    return getattr(m, "_scaled", None) or _scaled_metric(m.a, m.b)
+
+
 def _form(metric, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """g(u, v) / 2^exponent for _scaled_metric's (a, b, exponent), by the split
-    circ(a, b, b) = (a - b) I + b J, J all ones; sums run (x + y) + z."""
+    circ(a, b, b) = (a - b) I + b J, J all ones; sums run (x + y) + z.
+
+    Column by column, with no BLAS call, so the rounding is plain IEEE on every
+    CPU, and _form(metric, u, v) equals _form(metric, v, u) bit for bit.
+    """
     a, b, _ = metric
-    s_u, s_v = (u[..., 0] + u[..., 1]) + u[..., 2], (v[..., 0] + v[..., 1]) + v[..., 2]
-    return (a - b) * np.vecdot(u, v) + b * s_u * s_v
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return (a - b) * ((u0 * v0 + u1 * v1) + u2 * v2) + b * (((u0 + u1) + u2) * ((v0 + v1) + v2))
 
 
 def _ldexp(x, exponent):
@@ -207,18 +223,25 @@ def q_apply(u) -> np.ndarray:
 def g_inner(m: CirculantMetric, u, v) -> float | np.ndarray:
     """Inner product under circ(a, b, b); broadcasts over stacks of vectors and metrics."""
     (u, eu), (v, ev) = _unit(as_vector(u)), _unit(as_vector(v))
-    metric = _scaled_metric(m.a, m.b)
+    metric = _metric(m)
     return _scalar(_ldexp(_form(metric, u, v), eu + ev + metric[2]))
 
 
 def g_norm(m: CirculantMetric, u) -> float | np.ndarray:
     """Norm sqrt(g(u, u)); zero only for the zero vector."""
     u, exponent = _unit(as_vector(u))
-    metric = _scaled_metric(m.a, m.b)
+    metric = _metric(m)
     exponent = 2 * exponent + metric[2]
     odd = exponent & 1  # an even power of two leaves the square root exact
     norm_sq = np.maximum(0.0, _form(metric, u, u))
     return _scalar(_ldexp(np.sqrt(np.ldexp(norm_sq, odd)), (exponent - odd) // 2))
+
+
+def _gram(m: CirculantMetric, x: np.ndarray):
+    """(g(u, u), g(u, qu), exponent) of finite vectors, both forms over 2^exponent."""
+    u, exponent = _unit(x)
+    metric = _metric(m)
+    return _form(metric, u, u), _form(metric, u, u[..., _Q]), 2 * exponent + metric[2]
 
 
 def cos_phi(m: CirculantMetric, u) -> float | np.ndarray:
@@ -227,10 +250,10 @@ def cos_phi(m: CirculantMetric, u) -> float | np.ndarray:
     The value lies in [-1/2, 1] up to rounding for every valid metric, and it
     does not depend on the scale of u or of the metric.
     """
-    cos = _classify(m, as_vector(u), EPS_NULL)[0]
-    if np.isnan(cos).any():
+    norm_sq, g_uqu, _ = _gram(m, as_vector(u))
+    if (norm_sq == 0.0).any():
         raise ZeroVectorError("cos_phi is undefined for the zero vector")
-    return _scalar(cos)
+    return _scalar(g_uqu / norm_sq)
 
 
 def clamp_cos(c) -> float | np.ndarray:
@@ -269,7 +292,7 @@ def f_inner(m: CirculantMetric, u, v) -> float | np.ndarray:
     diagonal f(u, u) = 2 g(u, qu) = 2 g(u, u) cos_phi(u).
     """
     (u, eu), (v, ev) = _unit(as_vector(u)), _unit(as_vector(v))
-    metric = _scaled_metric(m.a, m.b)
+    metric = _metric(m)
     f = _form(metric, u, v[..., _Q]) + _form(metric, u[..., _Q], v)
     return _scalar(_ldexp(f, eu + ev + metric[2]))
 
@@ -289,17 +312,15 @@ def _classify(m: CirculantMetric, x: np.ndarray, eps_null: float):
     is the scale-free test |cos_phi| <= eps_null; else spacelike above the
     band and timelike below.
     """
-    u, exponent = _unit(x)
-    metric = _scaled_metric(m.a, m.b)
-    qu = u[..., _Q]
-    norm_sq = _form(metric, u, u)
-    g_uqu = _form(metric, u, qu)
-    f_uu = g_uqu + _form(metric, qu, u)
+    norm_sq, g_uqu, exponent = _gram(m, x)
+    f_uu = 2.0 * g_uqu  # g(qu, u) is g(u, qu) bit for bit
+    null = np.abs(f_uu) <= eps_null * 2.0 * norm_sq
+    code = np.where(null, np.int8(1), np.where(f_uu > 0.0, np.int8(0), np.int8(2)))
     zero = norm_sq == 0.0
-    code = np.where(f_uu > 0.0, 0, 2).astype(np.int8)
-    code[np.abs(f_uu) <= eps_null * 2.0 * norm_sq] = 1
-    code[zero] = CODE_ZERO_VECTOR
-    return g_uqu / np.where(zero, np.nan, norm_sq), code, f_uu, 2 * exponent + metric[2]
+    if zero.any():
+        code[zero] = CODE_ZERO_VECTOR
+        norm_sq = np.where(zero, np.nan, norm_sq)
+    return g_uqu / norm_sq, code, f_uu, exponent
 
 
 def causal_character(m: CirculantMetric, u) -> CausalCharacter:
@@ -331,11 +352,15 @@ def classify_many(
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3:
         raise GeometryError(f"expected an (N, 3) array of vectors, got shape {x.shape}")
-    finite = np.isfinite(x).all(axis=1)
+    finite = np.isfinite(x[:, 0]) & np.isfinite(x[:, 1]) & np.isfinite(x[:, 2])
     if not finite.all():
         x = np.where(finite[:, None], x, 0.0)
     cos, code, f_uu, exponent = _classify(m, x, eps_null)
+    f_uu = _ldexp(f_uu, exponent)
     valid = finite & (code != CODE_ZERO_VECTOR)
+    if valid.all():
+        clamp_cos(cos)
+        return cos, code, f_uu
     clamp_cos(cos[valid])
     code[~finite] = CODE_NON_FINITE
-    return np.where(valid, cos, np.nan), code, np.where(valid, _ldexp(f_uu, exponent), np.nan)
+    return np.where(valid, cos, np.nan), code, np.where(valid, f_uu, np.nan)

@@ -20,7 +20,7 @@ from .core import (
     DegenerateAngleError,
     ZeroVectorError,
     _scalar,
-    _scaled_metric,
+    _metric,
     as_vector,
     clamp_cos,
     cos_phi,
@@ -79,7 +79,7 @@ def orthonormal_q_basis(m: CirculantMetric) -> QBasis:
     A stack of metrics gives a stack of bases.
     """
     # The power of two common to the scaled a and b cancels in the ratio.
-    a, b, _ = _scaled_metric(m.a, m.b)
+    a, b, _ = _metric(m)
     disc = 2.0 * (a + 2.0 * b) / (a - b)
     u0 = _AXIS + np.multiply.outer(np.sqrt(disc), _SEED)
     u = u0 / np.expand_dims(g_norm(m, u0), -1)
@@ -90,8 +90,9 @@ def orthonormal_q_basis(m: CirculantMetric) -> QBasis:
 def companion_w(m: CirculantMetric, u) -> PlaneFrame:
     """g-unit vector w in span{u, qu} with g(u, w) = 0, plus the shift angle.
 
-    w = (qu - u cos phi) / sin phi for the g-normalized u. The input is
-    normalized internally, so the result depends only on the direction of u.
+    w = (qu - u cos phi) / |qu - u cos phi|_g for the g-normalized u. The
+    input is normalized internally, so the result depends only on the
+    direction of u.
     Fails when u and qu are parallel (cos phi within EPS_ANGLE of 1): the
     plane degenerates and sin phi vanishes. Broadcasts over stacks of vectors
     and metrics; phi is then an array too.
@@ -106,10 +107,10 @@ def companion_w(m: CirculantMetric, u) -> PlaneFrame:
         raise DegenerateAngleError(
             "u and its shift are parallel (shift angle ~ 0); no 2-plane to frame"
         )
-    # (1 - c)(1 + c) avoids the cancellation 1 - c*c suffers for c near 1.
-    sin = np.sqrt((1.0 - c) * (1.0 + c))
-    w = (q_apply(v) - np.expand_dims(c, -1) * v) / np.expand_dims(sin, -1)
-    return PlaneFrame(u=v, w=w, phi=_scalar(np.arccos(c)))
+    # d over its own computed g-norm, not over the analytic sin phi: with sin phi
+    # the rounding of u's norm and of c enters g(w, w) amplified by 1/sin^2 phi.
+    d = q_apply(v) - np.expand_dims(c, -1) * v
+    return PlaneFrame(u=v, w=d / np.expand_dims(g_norm(m, d), -1), phi=_scalar(np.arccos(c)))
 
 
 def gram_matrix(m: CirculantMetric, vectors) -> np.ndarray:

@@ -92,14 +92,22 @@ def sphere_form_value(v) -> float | np.ndarray:
     return _scalar(2.0 * (x * y + x * z + y * z))
 
 
+def _combine(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """v @ rows as the sum (x rows[0] + y rows[1]) + z rows[2]: plain IEEE rounding,
+    where a BLAS product rounds by the kernel the CPU gets. It runs on the
+    transposes, so each product is one long loop over the vectors."""
+    vt, cols = v.T, rows.reshape(rows.shape + (1,) * (v.ndim - 1))
+    return ((vt[0] * cols[0] + vt[1] * cols[1]) + vt[2] * cols[2]).T
+
+
 def to_primed(v) -> np.ndarray:
     """Starting coordinates to rotated (primed) coordinates."""
-    return as_vector(v) @ ROTATION
+    return _combine(as_vector(v), ROTATION)
 
 
 def from_primed(vp) -> np.ndarray:
     """Rotated (primed) coordinates back to starting coordinates."""
-    return as_vector(vp) @ ROTATION.T
+    return _combine(as_vector(vp), ROTATION.T)
 
 
 def primed_form_value(vp) -> float | np.ndarray:

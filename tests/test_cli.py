@@ -225,6 +225,17 @@ def test_batch_golden_report_at_any_block_size(tmp_path, run_main, monkeypatch, 
     assert out.read_bytes() == (DATA / "batch_golden_report.txt").read_bytes()
 
 
+def test_batch_golden_report_on_other_blas_kernels(tmp_path, run_cli, blas_kernel):
+    out = tmp_path / "report.txt"
+    result = run_cli(
+        "classify-batch", "--metric", "1.75,0.375",
+        "--input", str(DATA / "batch_golden.csv"), "--output", str(out),
+        env={"OPENBLAS_CORETYPE": blas_kernel},
+    )
+    assert result.returncode == 0
+    assert out.read_bytes() == (DATA / "batch_golden_report.txt").read_bytes()
+
+
 def batch_report(run, tmp_path, rows, metric="2,0.5"):
     """Report lines of classify-batch on rows of CSV text, each split into a field dict."""
     csv = tmp_path / "rows.csv"

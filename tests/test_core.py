@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import circgeo
+from circgeo import core
 from circgeo import (
     CHARACTER_BY_CODE,
     CODE_NON_FINITE,
@@ -499,6 +500,51 @@ def test_classify_many_extreme_metric():
     assert (code[0], bits(cos[0])) == (code_1[0], bits(cos_1[0]))
     assert CHARACTER_BY_CODE[code[0]] is CausalCharacter.TIMELIKE
     assert f_uu[0] == pytest.approx(1e308 * f_uu_1[0], rel=1e-15)
+
+
+# Mantissas in [-1, 1] with zeros and subnormals among them; scaled by 2^k
+# for k over the whole exponent range, every entry stays finite.
+_MANTISSA = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.ldexp(1.0, -1030), 2.0**-1022]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_MANTISSA, _MANTISSA, _MANTISSA), min_size=1, max_size=6),
+    ks=st.lists(st.integers(-1074, 1023), min_size=6, max_size=6),
+    one=st.booleans(),
+)
+def test_unit_matches_the_row_max_reduction(rows, ks, one):
+    # _unit takes each row's largest |component| column by column; the
+    # exponent and the scaled vectors are those of the reduction over the
+    # last axis, bit for bit.
+    x = np.ldexp(np.array(rows), np.array(ks[: len(rows)])[:, None])
+    if one:
+        x = x[0]
+    u, exponent = core._unit(x)
+    expected = np.frexp(np.abs(x).max(axis=-1))[1]
+    assert np.shape(exponent) == np.shape(expected)
+    assert np.array_equal(exponent, expected)
+    assert np.array_equal(bits(u), bits(np.ldexp(x, -expected[..., None])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    uv=st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
+    b_percent=st.integers(-49, 99),
+)
+def test_form_is_symmetric_bit_for_bit(uv, b_percent):
+    # The sums run in one fixed order over the columns, so swapping u and v
+    # leaves every rounding in place; _classify reads f(u, u) as 2 g(u, qu).
+    u, v = np.array(uv[:3]), np.array(uv[3:])
+    metric = core._metric(CirculantMetric(1.0, b_percent / 100.0))
+    assert bits(core._form(metric, u, v)) == bits(core._form(metric, v, u))
+    stack = np.array([u, v, u[::-1]])
+    assert np.array_equal(bits(core._form(metric, stack, stack[::-1])), bits(core._form(metric, stack[::-1], stack)))
+    m = CirculantMetric(1.0, b_percent / 100.0)
+    assert bits(f_inner(m, u, v)) == bits(f_inner(m, v, u))
 
 
 def _fmt_float_reference(x) -> str:

@@ -131,9 +131,9 @@ def test_dense_oracle_residual_passes_on_cancelling_seeds():
 # SHA-256 of `verify` stdout: a family that draws, gates or rounds otherwise
 # changes a printed residual.
 VERIFY_SHA256 = {
-    (1, 1000): "ead71ce3f57c1109177e9367ce70826b1cf80c130731f87fac2b1dfabba844d0",
-    (2, 50): "4459bd8afdd9694de15cea2e2b9fd73544f0d699fb649f09194581046ab1277c",
-    (3, 1): "7b41dfb8957de0a6b5ccf1e86ecf35117489d11c46f36bca2a64061080ff018c",
+    (1, 1000): "68a3e2e04b18fdeda9c4e2fef209f4db66ed5b4fbd7afbb981b211842c24283a",
+    (2, 50): "5548e22af3197731ff60f2e70687b4e7796fb64d27e78bd93389aa6d2e9f71ea",
+    (3, 1): "d95b3fdcdfb634f3e6ddeb86d03075f389962241dbb5cf2c1be720ebe3f5b71c",
 }
 
 
@@ -142,3 +142,11 @@ def test_verify_golden_digest(run_main, seed, trials):
     result = run_main("verify", "--seed", str(seed), "--trials", str(trials))
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == VERIFY_SHA256[seed, trials]
+
+
+def test_verify_golden_digest_on_other_blas_kernels(run_cli, blas_kernel):
+    # The forms are column sums with no BLAS call, so the kernel that the
+    # CPU gets does not reach the printed residuals.
+    result = run_cli("verify", "--seed", "1", "--trials", "1000", env={"OPENBLAS_CORETYPE": blas_kernel})
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == VERIFY_SHA256[1, 1000]

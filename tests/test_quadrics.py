@@ -101,6 +101,25 @@ def test_form_values_broadcast():
         assert primed_form_value(primed)[i] == primed_form_value(primed[i])
 
 
+_ROWS_AND_STACK = """
+import numpy as np
+from circgeo.oracle import random_vector
+from circgeo.quadrics import to_primed
+v = random_vector(np.random.default_rng(31), 20)
+primed = to_primed(v)
+assert all(np.array_equal(primed[i], to_primed(v[i])) for i in range(20))
+print(primed.tobytes().hex())
+"""
+
+
+def test_form_values_broadcast_on_other_blas_kernels(run_python, blas_kernel):
+    # Row by row and as a stack, on another kernel, to the bytes of this process.
+    result = run_python("-c", _ROWS_AND_STACK, env={"OPENBLAS_CORETYPE": blas_kernel})
+    assert result.returncode == 0, result.stderr
+    expected = to_primed(random_vector(np.random.default_rng(31), 20))
+    assert result.stdout == expected.tobytes().hex() + "\n"
+
+
 EPS_UP = math.nextafter(EPS_NULL, math.inf)
 
 
