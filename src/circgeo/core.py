@@ -117,23 +117,24 @@ class CirculantMetric:
     positive definiteness is exactly a + 2b > 0 and a - b > 0; a > 0 follows.
     a and b may be arrays, a stack of metrics that broadcasts, numpy style,
     against the shape of a vector stack without its last axis; every entry is
-    validated. Scalars are kept as floats. The scaled coefficients that the
-    forms read (_scaled_metric) are computed once, by the validation.
+    validated. Scalars are kept as floats. The validation also sets what the
+    forms read, _scaled = (a, b, exponent): a and b divided by the power of
+    two of a, exactly, so no sum, difference or ratio of them overflows, and
+    the exponent, common to both, cancels in a ratio.
     """
 
     a: float | np.ndarray
     b: float | np.ndarray
 
     def __post_init__(self):
-        a, b = np.array(self.a, dtype=float), np.array(self.b, dtype=float)
-        if a.shape != b.shape:
-            a, b = np.broadcast_arrays(a, b)
+        a, b = np.broadcast_arrays(np.array(self.a, dtype=float), np.array(self.b, dtype=float))
         # Tested on the scaled coefficients, where no valid metric overflows;
         # an invalid b may scale or double to +-inf, which still fails. The
         # scaled a lies in [1/2, 1) for every finite a > 0, so a_s < 1 fails
         # on inf and nan, and a > 0 follows from the other two tests.
         with np.errstate(over="ignore", invalid="ignore"):
-            a_s, b_s, exponent = _scaled_metric(a, b)
+            _, exponent = np.frexp(a)
+            a_s, b_s = np.ldexp(a, -exponent), np.ldexp(b, -exponent)
             ok = (a_s < 1.0) & (a_s - b_s > 0.0) & (a_s + 2.0 * b_s > 0.0)
         if not ok.all():
             if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -180,24 +181,8 @@ def _unit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(x, -exponent[..., None]), exponent
 
 
-def _scaled_metric(a, b):
-    """(a, b, exponent): a and b divided by the power of two of a, exactly.
-
-    The scaled a of a valid metric lies in [1/2, 1) and |b| < a, so no sum,
-    difference or ratio of the scaled coefficients overflows, and the
-    exponent, common to both, cancels in a ratio.
-    """
-    _, exponent = np.frexp(a)
-    return np.ldexp(a, -exponent), np.ldexp(b, -exponent), exponent
-
-
-def _metric(m: CirculantMetric):
-    """_scaled_metric of m's coefficients; a valid metric computed it once, in __post_init__."""
-    return getattr(m, "_scaled", None) or _scaled_metric(m.a, m.b)
-
-
 def _form(metric, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """g(u, v) / 2^exponent for _scaled_metric's (a, b, exponent), by the split
+    """g(u, v) / 2^exponent for a metric's _scaled (a, b, exponent), by the split
     circ(a, b, b) = (a - b) I + b J, J all ones; sums run (x + y) + z.
 
     Column by column, with no BLAS call, so the rounding is plain IEEE on every
@@ -223,14 +208,14 @@ def q_apply(u) -> np.ndarray:
 def g_inner(m: CirculantMetric, u, v) -> float | np.ndarray:
     """Inner product under circ(a, b, b); broadcasts over stacks of vectors and metrics."""
     (u, eu), (v, ev) = _unit(as_vector(u)), _unit(as_vector(v))
-    metric = _metric(m)
+    metric = m._scaled
     return _scalar(_ldexp(_form(metric, u, v), eu + ev + metric[2]))
 
 
 def g_norm(m: CirculantMetric, u) -> float | np.ndarray:
     """Norm sqrt(g(u, u)); zero only for the zero vector."""
     u, exponent = _unit(as_vector(u))
-    metric = _metric(m)
+    metric = m._scaled
     exponent = 2 * exponent + metric[2]
     odd = exponent & 1  # an even power of two leaves the square root exact
     norm_sq = np.maximum(0.0, _form(metric, u, u))
@@ -240,7 +225,7 @@ def g_norm(m: CirculantMetric, u) -> float | np.ndarray:
 def _gram(m: CirculantMetric, x: np.ndarray):
     """(g(u, u), g(u, qu), exponent) of finite vectors, both forms over 2^exponent."""
     u, exponent = _unit(x)
-    metric = _metric(m)
+    metric = m._scaled
     return _form(metric, u, u), _form(metric, u, u[..., _Q]), 2 * exponent + metric[2]
 
 
@@ -292,7 +277,7 @@ def f_inner(m: CirculantMetric, u, v) -> float | np.ndarray:
     diagonal f(u, u) = 2 g(u, qu) = 2 g(u, u) cos_phi(u).
     """
     (u, eu), (v, ev) = _unit(as_vector(u)), _unit(as_vector(v))
-    metric = _metric(m)
+    metric = m._scaled
     f = _form(metric, u, v[..., _Q]) + _form(metric, u[..., _Q], v)
     return _scalar(_ldexp(f, eu + ev + metric[2]))
 
@@ -315,12 +300,10 @@ def _classify(m: CirculantMetric, x: np.ndarray, eps_null: float):
     norm_sq, g_uqu, exponent = _gram(m, x)
     f_uu = 2.0 * g_uqu  # g(qu, u) is g(u, qu) bit for bit
     null = np.abs(f_uu) <= eps_null * 2.0 * norm_sq
-    code = np.where(null, np.int8(1), np.where(f_uu > 0.0, np.int8(0), np.int8(2)))
     zero = norm_sq == 0.0
-    if zero.any():
-        code[zero] = CODE_ZERO_VECTOR
-        norm_sq = np.where(zero, np.nan, norm_sq)
-    return g_uqu / norm_sq, code, f_uu, exponent
+    code = np.where(zero, np.int8(CODE_ZERO_VECTOR),
+                    np.where(null, np.int8(1), np.where(f_uu > 0.0, np.int8(0), np.int8(2))))
+    return g_uqu / np.where(zero, np.nan, norm_sq), code, f_uu, exponent
 
 
 def causal_character(m: CirculantMetric, u) -> CausalCharacter:
@@ -353,14 +336,8 @@ def classify_many(
     if x.ndim != 2 or x.shape[1] != 3:
         raise GeometryError(f"expected an (N, 3) array of vectors, got shape {x.shape}")
     finite = np.isfinite(x[:, 0]) & np.isfinite(x[:, 1]) & np.isfinite(x[:, 2])
-    if not finite.all():
-        x = np.where(finite[:, None], x, 0.0)
-    cos, code, f_uu, exponent = _classify(m, x, eps_null)
-    f_uu = _ldexp(f_uu, exponent)
+    cos, code, f_uu, exponent = _classify(m, np.where(finite[:, None], x, 0.0), eps_null)
     valid = finite & (code != CODE_ZERO_VECTOR)
-    if valid.all():
-        clamp_cos(cos)
-        return cos, code, f_uu
     clamp_cos(cos[valid])
     code[~finite] = CODE_NON_FINITE
-    return np.where(valid, cos, np.nan), code, np.where(valid, f_uu, np.nan)
+    return np.where(valid, cos, np.nan), code, np.where(valid, _ldexp(f_uu, exponent), np.nan)

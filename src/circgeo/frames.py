@@ -20,7 +20,6 @@ from .core import (
     DegenerateAngleError,
     ZeroVectorError,
     _scalar,
-    _metric,
     as_vector,
     clamp_cos,
     cos_phi,
@@ -79,7 +78,7 @@ def orthonormal_q_basis(m: CirculantMetric) -> QBasis:
     A stack of metrics gives a stack of bases.
     """
     # The power of two common to the scaled a and b cancels in the ratio.
-    a, b, _ = _metric(m)
+    a, b, _ = m._scaled
     disc = 2.0 * (a + 2.0 * b) / (a - b)
     u0 = _AXIS + np.multiply.outer(np.sqrt(disc), _SEED)
     u = u0 / np.expand_dims(g_norm(m, u0), -1)

@@ -146,10 +146,11 @@ def _framed(m: CirculantMetric, u: np.ndarray, *rows: np.ndarray, above: float =
     1e-12 bands can hold, where also cos_phi(m, u) > above."""
     # Metrics within a few percent of the definiteness boundary give g-unit
     # vectors with Euclidean components large enough that plain float noise
-    # in the bilinear form exceeds 1e-12; those are excluded from the checks
-    # that assert absolute 1e-12 bands. The same checks also gate the shift
-    # angle at cos < 1 - 1e-2: the cosine's own rounding enters g(w, w)
-    # amplified by 1/sin^2, so closer to parallel the band cannot hold.
+    # in the bilinear form breaks the absolute 1e-12 bands of the checks that
+    # use this, worst when u is nearly parallel to qu. The angle gate is wider
+    # than the bands need since companion_w divides by the computed g-norm
+    # (1.3x room at its own bound, cos < 1 - EPS_ANGLE, seeds 0-2999); it
+    # stays because the draws it keeps fix the printed residuals.
     c = cos_phi(m, u)
     keep = (m.a - m.b >= 0.05 * m.a) & (m.a + 2.0 * m.b >= 0.05 * m.a) & (c < 1.0 - 1e-2) & (c > above)
     return CirculantMetric(m.a[keep], m.b[keep]), u[keep], *(r[keep] for r in rows)
@@ -167,7 +168,9 @@ def _identity(draws: str, lhs, ref) -> Check:
     Draws one stack of n per letter of draws, in that order: 'm' draws
     metrics, 'u' and 'v' vectors. lhs and ref take the stacks in that order.
     The rows pass lambdas, which look each function up when they run, so a
-    wrapper put on its name in this module (perfbench/tracer.py) sees the call.
+    replacement put on its name in this module sees the call: the wrappers
+    of perfbench/tracer.py and the mutants of tests/test_mutants.py (rows
+    such as 'g_inner ignores b'), so the lambdas stay without the tracer too.
     """
 
     def check(rng, n):

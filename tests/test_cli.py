@@ -10,6 +10,7 @@ import hashlib
 import io
 import math
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from circgeo import GeometryError, QuadricSpec, cli, fmt_float, mesh_profile, sample_quadric
+from circgeo import GeometryError, QuadricSpec, cli, core, fmt_float, mesh_profile, sample_quadric
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -234,6 +235,40 @@ def test_batch_golden_report_on_other_blas_kernels(tmp_path, run_cli, blas_kerne
     )
     assert result.returncode == 0
     assert out.read_bytes() == (DATA / "batch_golden_report.txt").read_bytes()
+
+
+def _core_lines(run, *args):
+    """(lines of core.py that run(*args) executes, its result); the previous tracer is restored."""
+    lines = set()
+
+    def in_core(frame, event, arg):
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return in_core
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_core if frame.f_code.co_filename == core.__file__ else None)
+    try:
+        result = run(*args)
+    finally:
+        sys.settrace(previous)
+    return lines, result
+
+
+def test_verify_runs_every_core_line_that_classify_batch_runs(tmp_path, run_main):
+    # One kernel path: the oracle re-checks the very statements that the
+    # batch report is printed from, whatever rows the report carries.
+    csv = tmp_path / "rows.csv"
+    rows = ["1,2,3", "0,0,0", "-0.0,0,0", "nan,1,2", "1,inf,0", "-inf,0,0", "1e300,-2e300,5e299", "1,0,0"]
+    csv.write_text("x,y,z\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
+    batch, result = _core_lines(
+        run_main, "classify-batch", "--metric", "1.75,0.375",
+        "--input", str(csv), "--output", str(tmp_path / "report.txt"),
+    )
+    assert result.returncode == 0
+    verify, result = _core_lines(run_main, "verify", "--seed", "7", "--trials", "50")
+    assert result.returncode == 0
+    assert batch and sorted(batch - verify) == []
 
 
 def batch_report(run, tmp_path, rows, metric="2,0.5"):

@@ -418,6 +418,7 @@ def test_classify_many_range_check():
     broken = object.__new__(CirculantMetric)
     object.__setattr__(broken, "a", 1.0)
     object.__setattr__(broken, "b", -2.0)
+    object.__setattr__(broken, "_scaled", (0.5, -1.0, 1))
     with pytest.raises(InvariantViolation):
         classify_many(broken, [[1.0, 1.0, 0.9]])
 
@@ -491,6 +492,40 @@ def test_classify_many_scale_invariant(rows, k, j, b_percent):
         assert causal_character(scaled, np.ldexp(row, k)) is causal_character(m, row)
 
 
+# Rows without a character: zero, signed zero and non-finite.
+_NO_CHARACTER = st.sampled_from(
+    [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (math.nan, 1.0, 0.0), (1.0, math.inf, 0.0), (0.0, 2.0, -math.inf)]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_component, _component, _component), min_size=1, max_size=8),
+    ks=st.lists(st.integers(-1000, 1000), min_size=8, max_size=8),
+    inserted=st.lists(st.tuples(st.integers(0, 8), _NO_CHARACTER), max_size=6),
+    metrics=st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-49, 99)), min_size=14, max_size=14),
+    stacked=st.booleans(),
+)
+def test_classify_many_rows_do_not_see_their_neighbours(rows, ks, inserted, metrics, stacked):
+    # Each row's result is the same bits whatever rows share its stack, so no
+    # input can send the stack down another path. Magnitudes in [2^-20, 2^20]
+    # keep 2^k * u and the metric 2^j * circ(1, b, b) exact.
+    u = np.ldexp(np.array(rows), np.array(ks[: len(rows)])[:, None])
+    at = [min(i, len(u)) for i, _ in inserted]
+    x = np.insert(u, at, np.reshape([row for _, row in inserted], (-1, 3)), axis=0)
+    ordinary = np.insert(np.ones(len(u), dtype=bool), at, False)
+    j, b = np.array(metrics[: len(x)]).T
+    a, b = np.ldexp(1.0, j), np.ldexp(b / 100.0, j)
+    m_x = CirculantMetric(a, b) if stacked else CirculantMetric(a[0], b[0])
+    m_u = CirculantMetric(a[ordinary], b[ordinary]) if stacked else m_x
+    cos, code, f_uu = classify_many(m_x, x)
+    cos_u, code_u, f_uu_u = classify_many(m_u, u)
+    assert np.array_equal(code[ordinary], code_u)
+    assert np.array_equal(bits(cos[ordinary]), bits(cos_u))
+    assert np.array_equal(bits(f_uu[ordinary]), bits(f_uu_u))
+    assert (code[~ordinary] >= CODE_ZERO_VECTOR).all()
+
+
 def test_classify_many_extreme_metric():
     # With circ(1e308, 0, 0) unscaled, g(u, u) overflows to inf while
     # g(u, qu) stays finite, which read cos_phi = 0 and character null.
@@ -539,7 +574,7 @@ def test_form_is_symmetric_bit_for_bit(uv, b_percent):
     # The sums run in one fixed order over the columns, so swapping u and v
     # leaves every rounding in place; _classify reads f(u, u) as 2 g(u, qu).
     u, v = np.array(uv[:3]), np.array(uv[3:])
-    metric = core._metric(CirculantMetric(1.0, b_percent / 100.0))
+    metric = CirculantMetric(1.0, b_percent / 100.0)._scaled
     assert bits(core._form(metric, u, v)) == bits(core._form(metric, v, u))
     stack = np.array([u, v, u[::-1]])
     assert np.array_equal(bits(core._form(metric, stack, stack[::-1])), bits(core._form(metric, stack[::-1], stack)))
