@@ -514,8 +514,8 @@ def test_classify_many_rows_do_not_see_their_neighbours(rows, ks, inserted, metr
     at = [min(i, len(u)) for i, _ in inserted]
     x = np.insert(u, at, np.reshape([row for _, row in inserted], (-1, 3)), axis=0)
     ordinary = np.insert(np.ones(len(u), dtype=bool), at, False)
-    j, b = np.array(metrics[: len(x)]).T
-    a, b = np.ldexp(1.0, j), np.ldexp(b / 100.0, j)
+    j, b_percent = np.array(metrics[: len(x)]).T
+    a, b = np.ldexp(1.0, j), np.ldexp(b_percent / 100.0, j)
     m_x = CirculantMetric(a, b) if stacked else CirculantMetric(a[0], b[0])
     m_u = CirculantMetric(a[ordinary], b[ordinary]) if stacked else m_x
     cos, code, f_uu = classify_many(m_x, x)
