@@ -141,19 +141,14 @@ def _phi_grid(n: int) -> np.ndarray:
     return PHI_MIN + step * (np.arange(n) + 0.5)
 
 
-def _framed(m: CirculantMetric, u: np.ndarray, *rows: np.ndarray, above: float = -np.inf):
-    """The metrics, vectors and other row stacks of the draws whose frame the
-    1e-12 bands can hold, where also cos_phi(m, u) > above."""
-    # Metrics within a few percent of the definiteness boundary give g-unit
-    # vectors with Euclidean components large enough that plain float noise
-    # in the bilinear form breaks the absolute 1e-12 bands of the checks that
-    # use this, worst when u is nearly parallel to qu. The angle gate is wider
-    # than the bands need since companion_w divides by the computed g-norm
-    # (1.3x room at its own bound, cos < 1 - EPS_ANGLE, seeds 0-2999); it
-    # stays because the draws it keeps fix the printed residuals.
+def _framed(m: CirculantMetric, u: np.ndarray):
+    """The metrics and vectors of the draws whose frame the 1e-12 bands can hold."""
+    # Metric gate: g-unit vectors grow near the definiteness boundary; without it seeds
+    # 0-2999 read up to 6.0e-13 at 1000 trials, not 8.2e-14. Angle gate: |g(u, w)| grows
+    # like ~1.5e-14 / sin(phi), so the bands need 1 - cos(phi) >~ 1e-4; 1e-2 keeps 8x room.
     c = cos_phi(m, u)
-    keep = (m.a - m.b >= 0.05 * m.a) & (m.a + 2.0 * m.b >= 0.05 * m.a) & (c < 1.0 - 1e-2) & (c > above)
-    return CirculantMetric(m.a[keep], m.b[keep]), u[keep], *(r[keep] for r in rows)
+    keep = (m.a - m.b >= 0.05 * m.a) & (m.a + 2.0 * m.b >= 0.05 * m.a) & (c < 1.0 - 1e-2)
+    return CirculantMetric(m.a[keep], m.b[keep]), u[keep]
 
 
 _NULL = CHARACTER_BY_CODE.index(CausalCharacter.NULL)
@@ -230,16 +225,15 @@ def _check_companion_orthonormal(rng, n):
     m, u = _framed(random_metric(rng, n), random_vector(rng, n))
     frame = companion_w(m, u)
     u, w = frame.u, frame.w
-    return _worst(np.abs(g_inner(m, u, w)), np.abs(g_inner(m, w, w) - 1.0)), n
+    return _worst(np.abs(g_inner(m, u, w)), np.abs(g_inner(m, w, w) - 1.0)), len(u)
 
 
 def _check_companion_scale_invariant(rng, n):
-    m, u = random_metric(rng, n), random_vector(rng, n)
-    m, u, scaled = _framed(m, u, rng.uniform(0.1, 10.0, size=(n, 1)) * u)
+    m, u = _framed(random_metric(rng, n), random_vector(rng, n))
     w1 = companion_w(m, u).w
-    w2 = companion_w(m, scaled).w
+    w2 = companion_w(m, rng.uniform(0.1, 10.0, size=(len(u), 1)) * u).w
     # Relative: near-degenerate metrics make g-unit vectors Euclidean-large.
-    return _worst(_row_max(np.abs(w1 - w2)) / (1.0 + _row_max(np.abs(w1)))), n
+    return _worst(_row_max(np.abs(w1 - w2)) / (1.0 + _row_max(np.abs(w1)))), len(u)
 
 
 def _check_rotation_diagonalizes(rng, trials):
@@ -255,6 +249,10 @@ _QUADRIC_TABLE = {
     QuadricSpec(2.0): (QuadricClass.TWO_SHEETS, CausalCharacter.SPACELIKE),
     QuadricSpec(0.0): (QuadricClass.CONE, CausalCharacter.NULL),
     QuadricSpec(-1.0): (QuadricClass.ONE_SHEET, CausalCharacter.TIMELIKE),
+    QuadricSpec(EPS_NULL): (QuadricClass.CONE, CausalCharacter.NULL),
+    QuadricSpec(-EPS_NULL): (QuadricClass.CONE, CausalCharacter.NULL),
+    QuadricSpec(np.nextafter(EPS_NULL, np.inf)): (QuadricClass.TWO_SHEETS, CausalCharacter.SPACELIKE),
+    QuadricSpec(-np.nextafter(EPS_NULL, np.inf)): (QuadricClass.ONE_SHEET, CausalCharacter.TIMELIKE),
 }
 
 
@@ -289,17 +287,21 @@ def _coefficients_vs_frame(c):
 
 
 def _check_conic_frame_realization(rng, n):
-    m, u = _framed(random_metric(rng, n), random_vector(rng, n), above=-0.5 + 1e-9)
+    m, u = _framed(random_metric(rng, n), random_vector(rng, n))
     frame = companion_w(m, u)
     pairs = ((frame.u, frame.u), (frame.u, frame.w), (frame.w, frame.w))
     refs = plane_f_values(np.cos(frame.phi))
-    return _worst(*(_rel(f_inner(m, x, y) - ref, ref) for (x, y), ref in zip(pairs, refs))), n
+    return _worst(*(_rel(f_inner(m, x, y) - ref, ref) for (x, y), ref in zip(pairs, refs))), len(u)
 
 
 _CONIC_TABLE = {
     ConicSpec(0.5, 1.5): ConicClass.HYPERBOLA,
     ConicSpec(0.0, -2.0): ConicClass.HYPERBOLA,
     ConicSpec(0.5, 0.0): ConicClass.INTERSECTING_LINES,
+    ConicSpec(0.5, EPS_NULL): ConicClass.INTERSECTING_LINES,
+    ConicSpec(0.5, -EPS_NULL): ConicClass.INTERSECTING_LINES,
+    ConicSpec(0.5, np.nextafter(EPS_NULL, np.inf)): ConicClass.HYPERBOLA,
+    ConicSpec(0.5, -np.nextafter(EPS_NULL, np.inf)): ConicClass.HYPERBOLA,
     ConicSpec(-1.0 / 3.0, 1.0): ConicClass.NO_REAL_POINTS,
     ConicSpec(-1.0 / 3.0, 0.0): ConicClass.SINGLE_LINE,
     ConicSpec(-1.0 / 3.0, -1.0): ConicClass.PARALLEL_LINES,

@@ -143,6 +143,29 @@ def test_companion_scale_invariant():
         assert np.max(np.abs(w1 - w2)) <= 1e-12 * (1.0 + np.max(np.abs(w1)))
 
 
+def test_companion_orthogonality_error_grows_like_one_over_sin_phi():
+    # Near u ~ qu the error in g(u, w) grows like ~1.5e-14 / sin phi, which is
+    # why the oracle's frame families keep 1 - cos phi >= 1e-2. Metrics pass
+    # the oracle's metric gate; each u is bisected between the shift-fixed
+    # axis and a drawn vector onto a given 1 - cos phi in [2e-9, 1e-2].
+    rng = np.random.default_rng(23)
+    m = random_metric(rng, 3000)
+    d = random_vector(rng, 3000)
+    keep = (m.a - m.b >= 0.05 * m.a) & (m.a + 2.0 * m.b >= 0.05 * m.a) & (cos_phi(m, d) < 0.95)
+    m, d = CirculantMetric(m.a[keep], m.b[keep]), d[keep]
+    target = np.exp(rng.uniform(math.log(2e-9), math.log(1e-2), size=len(d)))
+    lo, hi = np.zeros((len(d), 1)), np.ones((len(d), 1))
+    for _ in range(80):
+        s = 0.5 * (lo + hi)
+        short = (1.0 - cos_phi(m, 1.0 - s + s * d) < target)[:, None]
+        lo, hi = np.where(short, s, lo), np.where(short, hi, s)
+    u = 1.0 - lo + lo * d
+    assert np.all(np.abs(1.0 - cos_phi(m, u) - target) <= 1e-5 * target)
+    frame = companion_w(m, u)
+    assert np.max(np.abs(g_inner(m, frame.u, frame.w)) * np.sin(frame.phi)) <= 4e-14
+    assert np.max(np.abs(g_inner(m, frame.w, frame.w) - 1.0)) <= 2e-15
+
+
 def test_stacked_metrics_and_vectors_match_one_at_a_time():
     rng = np.random.default_rng(19)
     m = random_metric(rng, 30)

@@ -110,8 +110,8 @@ ROWS = [
     row("q reversed to (z, x, y), which is q^-1", "q_apply", lambda q: lambda u: core.as_vector(u)[..., [2, 0, 1]]),
     row("_form with b negated", "_form", reading(lambda metric, u, v: ((metric[0], -metric[1], metric[2]), u, v)),
         "character_shift_invariant", "classify_many_vs_dense", "companion_orthonormal", "companion_scale_invariant",
-        "cos_phi_range", "g_inner_vs_dense_oracle", "qbasis_gram_identity", "qbasis_vectors_null",
-        "scale_invariance"),
+        "conic_frame_realization", "cos_phi_range", "g_inner_vs_dense_oracle", "qbasis_gram_identity",
+        "qbasis_vectors_null", "scale_invariance"),
     row("_form 1e-10 high", "_form", times(1.0 + 1e-10),
         "classify_many_vs_dense", "g_inner_vs_dense_oracle", "identity_metric_consistency"),
     blind_spot("_form 1e-14 high", "_form", times(1.0 + 1e-14)),
@@ -133,10 +133,11 @@ ROWS = [
         reading(lambda m, rows: (m, rows, 1e-300)), "qbasis_vectors_null"),
     row("level sign reads 0 as +1", "_level_sign", mapped(lambda sign: sign or 1),
         "conic_class_table", "mesh_on_surface", "quadric_class_table"),
-    # The oracle's decision tables read no r2 near the band; the band-edge rows of
-    # test_classification_table and test_quadric_classification pin these two.
-    row("level band 2x wide", "_level_sign", with_globals(EPS_NULL=2.0 * core.EPS_NULL)),
-    row("level band edge exclusive", "_level_sign", with_globals(EPS_NULL=math.nextafter(core.EPS_NULL, 0.0))),
+    # The decision tables read r2 = ±EPS_NULL and the next floats outside the band.
+    row("level band 2x wide", "_level_sign", with_globals(EPS_NULL=2.0 * core.EPS_NULL),
+        "conic_class_table", "quadric_class_table"),
+    row("level band edge exclusive", "_level_sign", with_globals(EPS_NULL=math.nextafter(core.EPS_NULL, 0.0)),
+        "conic_class_table", "quadric_class_table"),
     # frames
     row("q-basis of circ(a, b/2, b/2)", "orthonormal_q_basis",
         reading(lambda m: (CirculantMetric(m.a, 0.5 * m.b),)), "qbasis_gram_identity", "qbasis_vectors_null"),

@@ -1,11 +1,12 @@
 """Verification harness: samplers, dense oracle, suite determinism."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from circgeo import CirculantMetric, GeometryError, cos_phi, g_inner
+from circgeo import CirculantMetric, GeometryError, cos_phi, g_inner, oracle
 from circgeo.oracle import (
     SUITE_NAMES,
     dense_g_inner,
@@ -80,8 +81,10 @@ def test_run_suite_rejects_bad_trials():
         run_suite(seed=1, trials=0)
 
 
-# (name, tolerance, trials count) at --trials 1000 of every family but the two
-# added last; the counts are what `verify` adds up as items checked.
+# (name, tolerance, trials count) at --trials 1000 and seed 42 of every family
+# but the two added last; the counts are what `verify` adds up as items
+# checked: the three frame families count the draws _framed keeps, and the
+# two tables count their specs.
 PINNED_FAMILIES = [
     ("shift_cubed_identity", 0.0, 1000),
     ("isometry", 1e-12, 1000),
@@ -95,18 +98,18 @@ PINNED_FAMILIES = [
     ("g_inner_vs_dense_oracle", 1e-13, 1000),
     ("qbasis_gram_identity", 1e-10, 1000),
     ("qbasis_vectors_null", 1e-10, 1000),
-    ("companion_orthonormal", 1e-12, 1000),
-    ("companion_scale_invariant", 1e-12, 1000),
+    ("companion_orthonormal", 1e-12, 917),
+    ("companion_scale_invariant", 1e-12, 927),
     ("rotation_diagonalizes", 1e-15, 1),
     ("form_transport", 1e-12, 1000),
     ("identity_metric_consistency", 1e-12, 1000),
-    ("quadric_class_table", 0.0, 3),
+    ("quadric_class_table", 0.0, 7),
     ("cone_sphere_circles", 1e-12, 3),
     ("mesh_on_surface", 1e-09, 768),
     ("conic_coefficient_consistency", 1e-12, 1000),
-    ("conic_frame_realization", 1e-12, 1000),
+    ("conic_frame_realization", 1e-12, 930),
     ("discriminant_closed_form", 1e-10, 1000),
-    ("conic_class_table", 0.0, 12),
+    ("conic_class_table", 0.0, 16),
     ("degenerate_expansion", 1e-12, 363),
     ("circle_realization", 1e-12, 1000),
 ]
@@ -120,6 +123,17 @@ def test_run_suite_keeps_every_family_tolerance_and_count():
         assert r.tolerance <= 1e-12 and r.trials == 1000 and r.passed
 
 
+@pytest.mark.parametrize("name", ["companion_orthonormal", "companion_scale_invariant", "conic_frame_realization"])
+def test_frame_family_prints_the_draws_it_checks(run_main, name):
+    # A frame family checks only the draws that _framed keeps from its own
+    # stream, and prints that count, not --trials.
+    result = run_main("verify", "--seed", "42", "--trials", "1000")
+    printed = dict(re.findall(r"^\S+ +(\w+) +trials=(\d+) ", result.stdout, re.MULTILINE))
+    rng = oracle._stream(42, SUITE_NAMES.index(name))
+    _, kept = oracle._framed(random_metric(rng, 1000), random_vector(rng, 1000))
+    assert int(printed[name]) == len(kept) < 1000
+
+
 def test_dense_oracle_residual_passes_on_cancelling_seeds():
     # At these seeds g(u, v) cancels to far below its terms; only a residual
     # relative to the terms, not to |g|, stays inside the 1e-13 band.
@@ -131,9 +145,9 @@ def test_dense_oracle_residual_passes_on_cancelling_seeds():
 # SHA-256 of `verify` stdout: a family that draws, gates or rounds otherwise
 # changes a printed residual.
 VERIFY_SHA256 = {
-    (1, 1000): "68a3e2e04b18fdeda9c4e2fef209f4db66ed5b4fbd7afbb981b211842c24283a",
-    (2, 50): "5548e22af3197731ff60f2e70687b4e7796fb64d27e78bd93389aa6d2e9f71ea",
-    (3, 1): "d95b3fdcdfb634f3e6ddeb86d03075f389962241dbb5cf2c1be720ebe3f5b71c",
+    (1, 1000): "87c54908079065ec4903451796eca7b3bccc029b58443051c164ff4732ab75bb",
+    (2, 50): "efd4f8810814303d018b15eb0856a4f05d163d6f8199e05ab786d61e88a65b5b",
+    (3, 1): "407356da446522d6f73b40717f75e03832af77310c3bea80e92886f5191f3020",
 }
 
 
